@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 from .graph import Graph, Graph6Error, complete, extremal, is_connected, parse_graph6, to_graph6
 from .oracle import SizeGuardError, find_fractional_factor, is_fractional_ab_deleted
@@ -57,27 +58,26 @@ def _tsv_cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _input_lines(args) -> Iterator[Iterable[str]]:
+    """The graph input as lines: --graph6, else --file (opened here, read lazily), else stdin."""
+    if getattr(args, "graph6", None) is not None:
+        yield [args.graph6]
+    elif getattr(args, "file", None):
+        with open(args.file, encoding="ascii") as fh:
+            yield fh
+    else:
+        yield sys.stdin
+
+
 def _read_one_graph(args) -> Graph:
     if getattr(args, "graph6", None) is not None:
-        return parse_graph6(args.graph6)
-    if getattr(args, "file", None):
-        with open(args.file, encoding="ascii") as fh:
-            lines = fh.readlines()
-    else:
-        lines = sys.stdin.readlines()
-    for line in lines:
-        if line.strip():
-            return parse_graph6(line.strip())
+        return parse_graph6(args.graph6)  # verbatim: only stream lines are stripped
+    with _input_lines(args) as lines:
+        for line in lines:
+            if line.strip():
+                return parse_graph6(line.strip())
     raise ValueError("no input graph: expected one graph6 line")
-
-
-def _input_lines(args) -> Iterable[str]:
-    if getattr(args, "graph6", None) is not None:
-        return [args.graph6]
-    if getattr(args, "file", None):
-        with open(args.file, encoding="ascii") as fh:
-            return fh.readlines()
-    return sys.stdin
 
 
 def _add_graph_input(parser: argparse.ArgumentParser) -> None:
@@ -160,14 +160,11 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    records = scan(
-        _input_lines(args),
-        args.theorem,
-        args.a,
-        args.b,
-        tol=args.tol,
-        max_n=args.max_n,
-    )
+    with _input_lines(args) as lines:
+        return _print_scan(args, scan(lines, args.theorem, args.a, args.b, tol=args.tol, max_n=args.max_n))
+
+
+def _print_scan(args, records) -> int:
     seen = []
     if args.format == "tsv":
         print("\t".join(_TSV_COLUMNS))

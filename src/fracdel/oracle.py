@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,9 +45,6 @@ __all__ = [
 
 SUBSET_GUARD = 24  # 2^n subset enumerations refused above this without an override
 PAIR_GUARD = 12  # 3^n (S, T) pair enumeration refused above this without an override
-
-_TABLE_LIMIT = 16  # subset tables up to this n are built once and cached
-_BLOCK_ROWS = 1 << 14
 
 
 class SizeGuardError(RuntimeError):
@@ -163,53 +158,86 @@ def _check_subset_guard(n: int, max_n: int | None) -> None:
     limit = SUBSET_GUARD if max_n is None else max_n
     if n > limit:
         raise SizeGuardError(f"n={n} exceeds the subset-enumeration limit {limit}; pass max_n to override")
+    if n > _MASK_BITS:
+        raise SizeGuardError(f"n={n} exceeds the {_MASK_BITS}-vertex limit of the subset masks")
 
 
-# --- subset enumeration ----------------------------------------------------
+# --- subset kernel -----------------------------------------------------------
 #
-# All 2^n subsets are scanned in (size, lexicographic) order, the order that
-# fixes which violating S is reported. Work is done on 0/1 membership
-# matrices in int64, so every theta/epsilon below is exact integer
-# arithmetic; numpy is only a fast substrate.
+# S runs over 0 .. 2^n - 1 as uint64 masks, _CHUNK at a time. Per chunk, each
+# vertex's remaining degree is popcount(adj[v] & ~S), T is built as a mask, and
+# theta = f(S) + d_{G-S}(T) - g(T) is exact integer arithmetic. epsilon is
+# needed only where theta < 2: it is 2 if some adj[v] & T is nonempty for v in
+# T, else 1 if d_{G-S}(T) > 0 (every T-edge then leaves S u T), else 0.
+#
+# The reported S is the first violation in (size, lex) order: among masks of
+# one popcount, the lex-first tuple is the mask whose lowest differing bit is
+# set. Numeric order is not that order, so after a violation of size k, later
+# chunks are still scanned at masks of popcount <= k; k = 0 stops the scan.
+
+_CHUNK = 1 << 15
+_MASK_BITS = 63  # chunk starts must fit in a uint64 below 2^63
 
 
-def _subsets_in_order(n: int) -> Iterator[tuple[int, ...]]:
-    for k in range(n + 1):
-        yield from combinations(range(n), k)
+def _subset_sums(masks: np.ndarray, vals: Sequence[int]) -> np.ndarray:
+    """sum(vals[v] for v in S) for every mask S, one popcount per distinct value."""
+    total = np.zeros(len(masks), dtype=np.int64)
+    for w in set(vals) - {0}:
+        of_w = np.uint64(sum(1 << v for v, x in enumerate(vals) if x == w))
+        total += w * np.bitwise_count(masks & of_w).astype(np.int64)
+    return total
 
 
-def _membership(combos: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
-    m = np.zeros((len(combos), n), dtype=np.int64)
-    lens = [len(c) for c in combos]
-    if sum(lens):
-        rows = np.repeat(np.arange(len(combos)), lens)
-        cols = np.fromiter((v for c in combos for v in c), dtype=np.int64, count=sum(lens))
-        m[rows, cols] = 1
-    return m
+def _chunk_violations(adj, full, s, below, f, g, with_epsilon) -> np.ndarray:
+    """The masks in s whose (S, T) pair violates the criterion."""
+    not_s = ~s & full
+    t = np.zeros(len(s), dtype=np.uint64)
+    d_t = np.zeros(len(s), dtype=np.uint16)  # at most 63 vertices of remaining degree <= 62
+    for v, row in enumerate(adj):
+        d = np.bitwise_count(row & not_s)
+        in_t = (d < below[v]) & ((not_s & np.uint64(1 << v)) != 0)
+        t |= in_t.astype(np.uint64) << np.uint64(v)
+        d_t += d * in_t
+    value = _subset_sums(s, f) + d_t - _subset_sums(t, g)
+    if not with_epsilon:
+        return s[value < 0]
+    near = value < 2
+    s, t, value = s[near], t[near], value[near]
+    eps = (d_t[near] > 0).astype(np.int64)
+    for v, row in enumerate(adj):
+        eps[((t & np.uint64(1 << v)) != 0) & ((row & t) != 0)] = 2
+    return s[value < eps]
 
 
-@lru_cache(maxsize=8)
-def _full_table(n: int):
-    combos = list(_subsets_in_order(n))
-    m = _membership(combos, n)
-    return combos, m, m.sum(axis=1)
+def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, witness):
+    """(True, None), or (False, witness(S)) for the first S in (size, lex) order with
+    f(S) + d_{G-S}(T) - g(T) < epsilon(S, T), where T = {v not in S : d_{G-S}(v) < below[v]}.
 
-
-def _subset_blocks(n: int):
-    if n <= _TABLE_LIMIT:
-        yield _full_table(n)
-        return
-    gen = _subsets_in_order(n)
-    while batch := list(islice(gen, _BLOCK_ROWS)):
-        m = _membership(batch, n)
-        yield batch, m, m.sum(axis=1)
-
-
-def _int_adjacency(graph: Graph) -> np.ndarray:
-    a = np.zeros((graph.n, graph.n), dtype=np.int64)
-    for u, v in graph.edges():
-        a[u, v] = a[v, u] = 1
-    return a
+    epsilon is 0 unless with_epsilon. A witness that passes when recomputed is a kernel bug.
+    """
+    n = graph.n
+    adj = [np.uint64(graph.adjacency_mask(v)) for v in range(n)]
+    full = np.uint64(graph.full_mask())
+    best = (n + 1, ())  # (|S|, S) of the first violation so far; n + 1 while there is none
+    for start in range(0, 1 << n, _CHUNK):
+        if start.bit_count() > best[0]:
+            continue  # every mask in this chunk has start's bits
+        s = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.uint64)
+        s = s[np.bitwise_count(s) <= best[0]]
+        bad = _chunk_violations(adj, full, s, below, f, g, with_epsilon)
+        if len(bad):
+            sizes = np.bitwise_count(bad)
+            # among one popcount, the lowest differing bit set: max of the bit-reversed masks
+            mask = max(bad[sizes == sizes.min()].tolist(), key=lambda m: f"{m:064b}"[::-1])
+            best = min(best, (mask.bit_count(), tuple(v for v in range(n) if mask >> v & 1)))
+            if best[0] == 0:
+                break
+    if best[0] > n:
+        return True, None
+    found = witness(best[1])
+    if found.satisfied:
+        raise RuntimeError(f"subset kernel reported S={list(found.s)}, which satisfies the {found.rule} criterion")
+    return False, found
 
 
 # --- criterion pieces -------------------------------------------------------
@@ -240,10 +268,10 @@ def theta(graph: Graph, s: Iterable[int], t: Iterable[int], a: int, b: int) -> i
     return b * len(st) + degree_sum_minus(graph, st, tt) - a * len(tt)
 
 
-def _derived_t_deleted(graph: Graph, smask: int, a: int) -> tuple[int, ...]:
+def _derived_t(graph: Graph, smask: int, below: Sequence[int]) -> tuple[int, ...]:
     return tuple(
         v for v in range(graph.n)
-        if not smask >> v & 1 and (graph.adjacency_mask(v) & ~smask).bit_count() <= a
+        if not smask >> v & 1 and (graph.adjacency_mask(v) & ~smask).bit_count() < below[v]
     )
 
 
@@ -253,7 +281,7 @@ def deficiency_witness(graph: Graph, s: Iterable[int], a: int, b: int) -> Defici
     _require_vertices(graph)
     st = _vertex_tuple(graph, s, "S")
     smask = sum(1 << v for v in st)
-    tt = _derived_t_deleted(graph, smask, a)
+    tt = _derived_t(graph, smask, [a + 1] * graph.n)
     th = theta(graph, st, tt, a, b)
     ep = epsilon(graph, st, tt)
     return DeficiencyWitness(st, tt, th, ep, rule="deleted", satisfied=th >= ep)
@@ -265,10 +293,7 @@ def factor_deficiency_witness(graph: Graph, s: Iterable[int], g, f) -> Deficienc
     gv, fv = _bounds_vectors(graph, g, f)
     st = _vertex_tuple(graph, s, "S")
     smask = sum(1 << v for v in st)
-    tt = tuple(
-        v for v in range(graph.n)
-        if not smask >> v & 1 and (graph.adjacency_mask(v) & ~smask).bit_count() < gv[v]
-    )
+    tt = _derived_t(graph, smask, gv)
     value = sum(fv[v] for v in st) + degree_sum_minus(graph, st, tt) - sum(gv[v] for v in tt)
     return DeficiencyWitness(st, tt, value, 0, rule="factor", satisfied=value >= 0)
 
@@ -286,20 +311,7 @@ def has_fractional_gf_factor(graph: Graph, g, f, max_n: int | None = None):
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
     _check_subset_guard(graph.n, max_n)
-    adj = _int_adjacency(graph)
-    deg = adj.sum(axis=1)
-    gvec = np.array(gv, dtype=np.int64)
-    fvec = np.array(fv, dtype=np.int64)
-    for combos, m, _sizes in _subset_blocks(graph.n):
-        rem_deg = deg[None, :] - m @ adj
-        out = 1 - m
-        t = ((rem_deg < gvec[None, :]) & (out == 1)).astype(np.int64)
-        value = m @ fvec + (rem_deg * t).sum(axis=1) - t @ gvec
-        bad = value < 0
-        if bad.any():
-            first = int(np.argmax(bad))
-            return False, factor_deficiency_witness(graph, combos[first], gv, fv)
-    return True, None
+    return _subset_decide(graph, gv, fv, gv, False, lambda s: factor_deficiency_witness(graph, s, gv, fv))
 
 
 def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = None):
@@ -316,22 +328,8 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     _check_subset_guard(graph.n, max_n)
     if graph.edge_count == 0:
         return True, None
-    adj = _int_adjacency(graph)
-    deg = adj.sum(axis=1)
-    for combos, m, sizes in _subset_blocks(graph.n):
-        rem_deg = deg[None, :] - m @ adj
-        out = 1 - m
-        t = ((rem_deg <= a) & (out == 1)).astype(np.int64)
-        th = b * sizes + (rem_deg * t).sum(axis=1) - a * t.sum(axis=1)
-        t_adj = t @ adj
-        not_independent = (t_adj * t).sum(axis=1) > 0
-        has_outside_edge = (t_adj * (out - t)).sum(axis=1) > 0
-        eps = np.where(not_independent, 2, np.where(has_outside_edge, 1, 0))
-        bad = th < eps
-        if bad.any():
-            first = int(np.argmax(bad))
-            return False, deficiency_witness(graph, combos[first], a, b)
-    return True, None
+    n = graph.n
+    return _subset_decide(graph, (a + 1,) * n, (b,) * n, (a,) * n, True, lambda s: deficiency_witness(graph, s, a, b))
 
 
 def is_fractional_ab_deleted_by_edges(graph: Graph, a: int, b: int, max_n: int | None = None) -> bool:

@@ -28,7 +28,7 @@ from .oracle import (
     _validate_ab,
     is_fractional_ab_deleted,
 )
-from .spectral import DEFAULT_TOL, spectral_summary
+from .spectral import DEFAULT_TOL, ConvergenceError, spectral_summary
 
 __all__ = [
     "THEOREM_IDS",
@@ -333,8 +333,9 @@ def scan(
 ) -> Iterator[ScanRecord]:
     """Evaluate one condition against every graph6 line of a stream.
 
-    Malformed lines become error records and scanning continues; blank
-    lines are skipped. Records come out in input order.
+    Malformed lines and eigensolver failures become error records and
+    scanning continues; blank lines are skipped. Records come out in input
+    order.
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
@@ -348,6 +349,9 @@ def scan(
             report = eval_theorem(graph, theorem_id, a, b, tol=tol, margin=margin, max_n=max_n)
         except (Graph6Error, ValueError) as exc:
             yield ScanRecord(index, text, None, str(exc))
+            continue
+        except ConvergenceError as exc:
+            yield ScanRecord(index, text, None, f"numerical failure: {exc}")
             continue
         yield ScanRecord(index, text, report, None)
 

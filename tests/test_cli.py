@@ -6,7 +6,7 @@ import json
 import pytest
 
 import fracdel.theorems
-from fracdel import complete, extremal, parse_graph6, to_graph6
+from fracdel import ConvergenceError, complete, extremal, parse_graph6, scan, summarize, to_graph6
 from fracdel.cli import main
 from helpers import cycle_graph, path_graph, star_graph
 
@@ -180,6 +180,44 @@ def test_scan_counterexample_exit_code(capsys, monkeypatch):
         sys.stdin = stdin
     capsys.readouterr()
     assert code == 3
+
+
+def test_scan_survives_numerical_failure(capsys, monkeypatch):
+    real = fracdel.theorems.spectral_summary
+
+    def flaky(graph, *args, **kwargs):
+        if graph.n == 8:
+            raise ConvergenceError("no convergence within 0 sweeps", 1.0)
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(fracdel.theorems, "spectral_summary", flaky)
+    lines = [to_graph6(complete(n)) for n in (7, 8, 9)]
+    records = list(scan(lines, "1.8", 1, 3))
+    assert [r.report is not None for r in records] == [True, False, True]
+    assert "numerical failure" in records[1].error
+    counts = summarize(records)
+    assert counts["graphs"] == 2 and counts["errors"] == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = run(capsys, "scan", "--theorem", "1.8", "--a", "1", "--b", "3")
+    assert code == 0
+    rows = [ln.split("\t") for ln in out.splitlines()[1:-1]]
+    assert [r[0] for r in rows] == ["1", "2", "3"]
+    assert rows[1] == ["2", "1.8"] + ["NA"] * 7
+    assert json.loads(out.splitlines()[-1])["errors"] == 1
+    assert "line 2: numerical failure" in err
+
+
+def test_scan_file_and_stdin_print_same_bytes(capsys, monkeypatch, tmp_path):
+    text = "\n".join([to_graph6(complete(7)), "", "###", to_graph6(extremal(7, 1))]) + "\n"
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(text, encoding="ascii")
+    for fmt, rows in (("tsv", 5), ("json", 4)):
+        argv = ["scan", "--theorem", "1.8", "--a", "1", "--b", "3", "--format", fmt]
+        from_file = run(capsys, *argv, "--file", str(corpus))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        from_stdin = run(capsys, *argv)
+        assert from_file == from_stdin
+        assert from_file[0] == 0 and from_file[1].count("\n") == rows
 
 
 def test_stdin_single_graph(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from fracdel import (
     has_gf_factor_lovasz,
     is_fractional_ab_deleted,
     is_fractional_ab_deleted_by_edges,
+    parse_graph6,
     theta,
 )
 from helpers import cycle_graph, gnp, has_perfect_matching, path_graph, star_graph
@@ -211,6 +212,41 @@ def test_reported_witness_is_first_in_size_lex_order():
     assert checked > 10
 
 
+# Witness ordering on planted graphs. Each plants hub vertices (the expected S)
+# that share pendant vertices, over a random core, so that every S earlier in
+# (size, lex) order passes. All but the n = 14 ones have S past the first 2^15
+# subset masks. Some also fail at a numerically smaller mask that comes later
+# in (size, lex) order: {5, 6} and {4, 7} in another mask chunk, {1, 2} in the
+# same one. Expected witnesses were computed by enumerating S as sorted tuples
+# in (size, lex) order.
+ORDERING_DELETED = [
+    ("MB_ICH_P_Kk?`?oc?", 1, 1, {"S": [0, 5], "T": [4, 7, 12], "theta": -1, "epsilon": 0}),
+    ("PGWXYxYZzuO?T{^ql|RZvbzs", 1, 1, {"S": [16], "T": [0, 11], "theta": 1, "epsilon": 2}),
+    ("Q^b^p{GAF}^HA?nrYonUQVrMA}?", 1, 1, {"S": [4, 17], "T": [8, 9, 12], "theta": -1, "epsilon": 0}),
+    ("Q[F??NqwGKIe@_[lA?FdIIGWO?G", 1, 1, {"S": [3, 16], "T": [4, 14, 17], "theta": -1, "epsilon": 0}),
+    ("SJtvw@s?@|^dlhpHVtaicnjjubW??_y_[", 1, 1, {"S": [15, 19], "T": [7, 9, 18], "theta": -1, "epsilon": 0}),
+]
+ORDERING_FACTOR = [
+    ("MDo[Hx_tR?K?`?`??", 1, 1, {"S": [0, 5], "T": [6, 12, 13], "theta": -1, "epsilon": 0}),
+    ("PNJ\\^UwXw?J{}c??R{tVUn|G", 1, 1, {"S": [15], "T": [10, 13], "theta": -1, "epsilon": 0}),
+    ("Q~zg???mFoLBnF|Evby?N~{Ts\\w", 1, 2, {"S": [16], "T": [6, 7, 8], "theta": -1, "epsilon": 0}),
+    ("StsxjyzF]ft~G?G?Vq`??vKH{{g`UnNwO", 1, 1, {"S": [2, 18], "T": [12, 13, 15], "theta": -1, "epsilon": 0}),
+    ("Sm?IChZOEvG?ugu?zL]pTuioH??Q?@c}O", 1, 1, {"S": [1, 19], "T": [2, 9, 11], "theta": -1, "epsilon": 0}),
+]
+
+
+@pytest.mark.parametrize("g6, a, b, expected", ORDERING_DELETED)
+def test_deleted_witness_order_on_planted_graphs(g6, a, b, expected):
+    ok, w = is_fractional_ab_deleted(parse_graph6(g6), a, b)
+    assert not ok and w.to_json() == {**expected, "rule": "deleted"}
+
+
+@pytest.mark.parametrize("g6, lo, hi, expected", ORDERING_FACTOR)
+def test_factor_witness_order_on_planted_graphs(g6, lo, hi, expected):
+    ok, w = has_fractional_gf_factor(parse_graph6(g6), lo, hi)
+    assert not ok and w.to_json() == {**expected, "rule": "factor"}
+
+
 # --- flow certificates ---------------------------------------------------------
 
 
@@ -306,6 +342,9 @@ def test_subset_guard():
     with pytest.raises(SizeGuardError):
         is_fractional_ab_deleted(path_graph(10), 1, 3, max_n=9)
     assert is_fractional_ab_deleted(path_graph(10), 1, 3, max_n=10)[0] is False
+    # no override lifts the 2^n routes past the 63-bit subset masks
+    with pytest.raises(SizeGuardError):
+        is_fractional_ab_deleted(path_graph(64), 1, 3, max_n=64)
 
 
 def test_pair_guard():
