@@ -21,7 +21,6 @@ from .graph import (
 )
 from .maxflow import MaxFlow, feasible_flow
 from .oracle import (
-    PAIR_GUARD,
     SUBSET_GUARD,
     DeficiencyWitness,
     FractionalAssignment,
@@ -31,9 +30,7 @@ from .oracle import (
     factor_deficiency_witness,
     find_fractional_factor,
     has_fractional_gf_factor,
-    has_gf_factor_lovasz,
     is_fractional_ab_deleted,
-    is_fractional_ab_deleted_by_edges,
     theta,
 )
 from .spectral import (
@@ -58,10 +55,8 @@ from .theorems import (
     SharpnessError,
     SharpnessReport,
     TheoremReport,
-    eval_edge_count_condition,
-    eval_signless_laplacian_condition,
-    eval_spectral_radius_condition,
     eval_theorem,
+    extremal_spectra,
     graphs_with_min_edges,
     scan,
     summarize,

@@ -161,24 +161,23 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_scan(args) -> int:
     with _input_lines(args) as lines:
-        return _print_scan(args, scan(lines, args.theorem, args.a, args.b, tol=args.tol, max_n=args.max_n))
+        counts = summarize(_printed(args, scan(lines, args.theorem, args.a, args.b, tol=args.tol, max_n=args.max_n)))
+    _emit(counts)
+    return 3 if counts["counterexamples"] else 0
 
 
-def _print_scan(args, records) -> int:
-    seen = []
+def _printed(args, records) -> Iterator:
+    """Yield each scan record after printing its row, so no record outlives its line."""
     if args.format == "tsv":
         print("\t".join(_TSV_COLUMNS))
     for record in records:
-        seen.append(record)
         if record.error is not None:
             print(f"line {record.index}: {record.error}", file=sys.stderr)
-            if args.format == "tsv":
-                cells = [str(record.index), args.theorem] + ["NA"] * 7
-                print("\t".join(cells))
-            else:
-                _emit(record.to_json())
-            continue
-        if args.format == "tsv":
+        if args.format == "json":
+            _emit(record.to_json())
+        elif record.error is not None:
+            print("\t".join([str(record.index), args.theorem] + ["NA"] * 7))
+        else:
             rep = record.report
             cells = [
                 _tsv_cell(record.index),
@@ -192,11 +191,7 @@ def _print_scan(args, records) -> int:
                 _tsv_cell(rep.hypothesis_values["delta"]),
             ]
             print("\t".join(cells))
-        else:
-            _emit(record.to_json())
-    counts = summarize(seen)
-    _emit(counts)
-    return 3 if counts["counterexamples"] else 0
+        yield record
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,14 +5,16 @@ every vertex v sees a weighted degree between g(v) and f(v). G is fractional
 [a, b]-deleted when G - e has a fractional [a, b]-factor (constant g = a,
 f = b) for every single edge e.
 
-Three independent routes are provided and kept deliberately separate:
+Two independent routes are provided and kept deliberately separate:
 
 * ``is_fractional_ab_deleted``: a deficiency criterion over vertex subsets S
   with a derived low-degree set T, refuted by an explicit (S, T) witness;
-* ``is_fractional_ab_deleted_by_edges``: the definition itself, running the
-  subset-based fractional (g, f)-factor test on G - e for every edge;
 * ``find_fractional_factor``: a constructive max-flow certificate producing
   half-integral edge weights that can be rechecked in exact arithmetic.
+
+The third route the tests compare against, the definition itself (the
+subset-based ``has_fractional_gf_factor`` on G - e for every edge), lives in
+the test suite together with the integer (g, f)-factor test.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _bits, degree_sum_minus, delete_edge
+from .graph import Graph, degree_sum_minus
 from .maxflow import feasible_flow
 
 __all__ = [
     "SUBSET_GUARD",
-    "PAIR_GUARD",
     "SizeGuardError",
     "DeficiencyWitness",
     "FractionalAssignment",
@@ -38,13 +39,10 @@ __all__ = [
     "factor_deficiency_witness",
     "has_fractional_gf_factor",
     "is_fractional_ab_deleted",
-    "is_fractional_ab_deleted_by_edges",
     "find_fractional_factor",
-    "has_gf_factor_lovasz",
 ]
 
 SUBSET_GUARD = 24  # 2^n subset enumerations refused above this without an override
-PAIR_GUARD = 12  # 3^n (S, T) pair enumeration refused above this without an override
 
 
 class SizeGuardError(RuntimeError):
@@ -332,18 +330,6 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     return _subset_decide(graph, (a + 1,) * n, (b,) * n, (a,) * n, True, lambda s: deficiency_witness(graph, s, a, b))
 
 
-def is_fractional_ab_deleted_by_edges(graph: Graph, a: int, b: int, max_n: int | None = None) -> bool:
-    """The definition, verbatim: test G - e for every edge e. Vacuously true when edgeless."""
-    _validate_ab(a, b)
-    _require_vertices(graph)
-    _check_subset_guard(graph.n, max_n)
-    for u, v in graph.edges():
-        ok, _ = has_fractional_gf_factor(delete_edge(graph, u, v), a, b, max_n=max_n)
-        if not ok:
-            return False
-    return True
-
-
 def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     """Constructive route: a half-integral fractional (g, f)-factor, or None.
 
@@ -377,76 +363,3 @@ def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
         for k, (u, v) in enumerate(edges)
     }
     return FractionalAssignment(halves)
-
-
-# --- integer (g, f)-factors --------------------------------------------------
-
-
-def _mask_sums(vals: Sequence[int]) -> list[int]:
-    out = [0] * (1 << len(vals))
-    for mask in range(1, 1 << len(vals)):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] + vals[low.bit_length() - 1]
-    return out
-
-
-def has_gf_factor_lovasz(graph: Graph, g, f, max_n: int | None = None) -> bool:
-    """Exact test for an integer (g, f)-factor via the full deficiency form.
-
-    For every disjoint pair (S, T) checks
-    f(S) + d_{G-S}(T) - g(T) - q(S, T) >= 0, where q counts components C of
-    G - (S u T) with g = f on all of C and f(V(C)) + e(C, T) odd. That is a
-    3^n pair scan, so the guard is tighter than for the fractional tests.
-    """
-    _require_vertices(graph)
-    gv, fv = _bounds_vectors(graph, g, f)
-    limit = PAIR_GUARD if max_n is None else max_n
-    if graph.n > limit:
-        raise SizeGuardError(f"n={graph.n} exceeds the pair-enumeration limit {limit}; pass max_n to override")
-    n = graph.n
-    rows = [graph.adjacency_mask(v) for v in range(n)]
-    full = graph.full_mask()
-    gsum = _mask_sums(gv)
-    fsum = _mask_sums(fv)
-    tight = [gv[v] == fv[v] for v in range(n)]
-
-    comp_cache: dict[int, list[tuple[int, int, bool]]] = {}
-
-    def comp_info(avail: int) -> list[tuple[int, int, bool]]:
-        cached = comp_cache.get(avail)
-        if cached is not None:
-            return cached
-        info = []
-        rem = avail
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                grow = 0
-                for w in _bits(frontier):
-                    grow |= rows[w]
-                frontier = grow & avail & ~comp
-                comp |= frontier
-            rem &= ~comp
-            info.append((comp, fsum[comp], all(tight[w] for w in _bits(comp))))
-        comp_cache[avail] = info
-        return info
-
-    for smask in range(1 << n):
-        f_s = fsum[smask]
-        rem_deg = [(rows[v] & ~smask).bit_count() for v in range(n)]
-        compl = full & ~smask
-        tmask = compl
-        while True:
-            d_t = sum(rem_deg[v] for v in _bits(tmask))
-            g_t = gsum[tmask]
-            q = 0
-            for comp, f_c, uniform in comp_info(compl & ~tmask):
-                if uniform and (f_c + sum((rows[w] & tmask).bit_count() for w in _bits(comp))) & 1:
-                    q += 1
-            if f_s + d_t - g_t - q < 0:
-                return False
-            if tmask == 0:
-                break
-            tmask = (tmask - 1) & compl
-    return True

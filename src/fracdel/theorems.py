@@ -16,18 +16,15 @@ guard) and reports whether the pair is consistent, i.e. never
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
+
+import numpy as np
 
 from .graph import Graph, Graph6Error, extremal, is_connected, parse_graph6
-from .oracle import (
-    SUBSET_GUARD,
-    DeficiencyWitness,
-    _validate_ab,
-    is_fractional_ab_deleted,
-)
+from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
 from .spectral import DEFAULT_TOL, ConvergenceError, spectral_summary
 
 __all__ = [
@@ -35,9 +32,7 @@ __all__ = [
     "DEFAULT_MARGIN",
     "TheoremReport",
     "eval_theorem",
-    "eval_spectral_radius_condition",
-    "eval_signless_laplacian_condition",
-    "eval_edge_count_condition",
+    "extremal_spectra",
     "SharpnessError",
     "SharpnessReport",
     "verify_sharpness",
@@ -67,8 +62,8 @@ class TheoremReport:
     applicable: bool
     oracle_verdict: bool | str | None  # True / False / "skipped(size-guard)"
     consistent: bool
-    margin: float
     witness: DeficiencyWitness | None = field(default=None)
+    margin: ClassVar[float] = DEFAULT_MARGIN
 
     def to_json(self) -> dict:
         return {
@@ -86,14 +81,17 @@ class TheoremReport:
         }
 
 
-@lru_cache(maxsize=512)
-def _extremal_spectra(n: int, a: int, tol: float) -> tuple[float, float]:
-    summary = spectral_summary(extremal(n, a), tol)
-    return summary.rho, summary.q
+def extremal_spectra(n: int, a: int) -> tuple[float, float]:
+    """(rho, q) of extremal(n, a), for n >= a + 2, from its 3x3 equitable quotients.
 
-
-def _strictly_greater(x: float, y: float, margin: float) -> bool:
-    return x - y > margin
+    The cells are the K_a hub, the K_{n-a-1} clique and the low vertex. Both
+    quotients are symmetrised with the square roots of the cell sizes, so
+    their top eigenvalues come from a symmetric solve.
+    """
+    c, s = math.sqrt(a * (n - a - 1)), math.sqrt(a)
+    adj = np.array([[a - 1, c, s], [c, n - a - 2, 0], [s, 0, 0]])
+    signless = adj + np.diag([n - 1.0, n - 2.0, a])  # add the cell degrees
+    return float(np.linalg.eigvalsh(adj)[-1]), float(np.linalg.eigvalsh(signless)[-1])
 
 
 def eval_theorem(
@@ -103,13 +101,12 @@ def eval_theorem(
     b: int,
     *,
     tol: float = DEFAULT_TOL,
-    margin: float = DEFAULT_MARGIN,
     max_n: int | None = None,
 ) -> TheoremReport:
     """Evaluate one sufficient condition and the exact oracle on a graph.
 
-    The oracle runs whenever n is within the subset-enumeration guard
-    (or the max_n override); otherwise the verdict is the string
+    When the oracle refuses the graph with SizeGuardError (see max_n in
+    ``is_fractional_ab_deleted``), the verdict is the string
     "skipped(size-guard)" and no consistency claim is made.
     """
     if theorem_id not in THEOREM_IDS:
@@ -137,19 +134,19 @@ def eval_theorem(
     }
 
     if theorem_id == "1.4":
-        rho_star = _extremal_spectra(n, a, tol)[0] if n >= a + 2 else None
+        rho_star = extremal_spectra(n, a)[0] if n >= a + 2 else None
         values["rho_extremal"] = rho_star
-        hypothesis_met = rho_star is not None and _strictly_greater(summary.rho, rho_star, margin)
+        hypothesis_met = rho_star is not None and summary.rho - rho_star > DEFAULT_MARGIN
     elif theorem_id == "1.6":
         threshold = 2 * n - 4 + (a + 1) / (n - 1) if n >= 2 else None
-        q_star = _extremal_spectra(n, a, tol)[1] if n >= a + 2 else None
+        q_star = extremal_spectra(n, a)[1] if n >= a + 2 else None
         values["q_threshold"] = threshold
         values["q_extremal"] = q_star
         hypothesis_met = (
             threshold is not None
             and q_star is not None
-            and _strictly_greater(summary.q, threshold, margin)
-            and _strictly_greater(summary.q, q_star, margin)
+            and summary.q - threshold > DEFAULT_MARGIN
+            and summary.q - q_star > DEFAULT_MARGIN
         )
     else:  # "1.8"
         values["min_degree_needed"] = a + 1
@@ -157,13 +154,11 @@ def eval_theorem(
         # compare 2e >= (n-1)(n-2) + a + 2 so the half-integer bound stays exact
         hypothesis_met = delta >= a + 1 and 2 * e >= (n - 1) * (n - 2) + a + 2
 
-    guard = SUBSET_GUARD if max_n is None else max_n
-    witness = None
-    if n <= guard:
-        verdict, witness = is_fractional_ab_deleted(graph, a, b, max_n=max_n)
-        oracle_verdict: bool | str = verdict
-    else:
-        oracle_verdict = "skipped(size-guard)"
+    oracle_verdict: bool | str
+    try:
+        oracle_verdict, witness = is_fractional_ab_deleted(graph, a, b, max_n=max_n)
+    except SizeGuardError:
+        oracle_verdict, witness = "skipped(size-guard)", None
 
     consistent = not (applicable and hypothesis_met and oracle_verdict is False)
     return TheoremReport(
@@ -176,21 +171,8 @@ def eval_theorem(
         applicable=applicable,
         oracle_verdict=oracle_verdict,
         consistent=consistent,
-        margin=margin,
         witness=witness,
     )
-
-
-def eval_spectral_radius_condition(graph: Graph, a: int, b: int, **kwargs) -> TheoremReport:
-    return eval_theorem(graph, "1.4", a, b, **kwargs)
-
-
-def eval_signless_laplacian_condition(graph: Graph, a: int, b: int, **kwargs) -> TheoremReport:
-    return eval_theorem(graph, "1.6", a, b, **kwargs)
-
-
-def eval_edge_count_condition(graph: Graph, a: int, b: int, **kwargs) -> TheoremReport:
-    return eval_theorem(graph, "1.8", a, b, **kwargs)
 
 
 class SharpnessError(RuntimeError):
@@ -224,20 +206,14 @@ class SharpnessReport:
         }
 
 
-def verify_sharpness(
-    n: int,
-    a: int,
-    b: int,
-    *,
-    tol: float = DEFAULT_TOL,
-    margin: float = DEFAULT_MARGIN,
-) -> SharpnessReport:
+def verify_sharpness(n: int, a: int, b: int, *, tol: float = DEFAULT_TOL) -> SharpnessReport:
     """Replay the tightness argument for the extremal graph at (n, a, b).
 
     Checks that the extremal graph is NOT fractional [a, b]-deleted, that the
     refuting witness is exactly (S = empty, T = the degree-a vertices,
-    theta = 0, epsilon = 1), and that both spectral hypotheses fail at
-    equality (gap within margin) on the extremal graph itself. Any failed
+    theta = 0, epsilon = 1), and that rho and q of the extremal graph's
+    matrices equal the quotient closed forms of ``extremal_spectra`` within
+    DEFAULT_MARGIN, so both spectral hypotheses fail at equality. Any failed
     check raises SharpnessError.
     """
     _validate_ab(a, b)
@@ -258,17 +234,13 @@ def verify_sharpness(
     if witness.theta != 0 or witness.epsilon != 1:
         raise SharpnessError(f"expected theta=0 < epsilon=1, got theta={witness.theta}, epsilon={witness.epsilon}")
 
-    report_rho = eval_theorem(gstar, "1.4", a, b, tol=tol, margin=margin)
-    report_q = eval_theorem(gstar, "1.6", a, b, tol=tol, margin=margin)
-    rho_gap = report_rho.hypothesis_values["rho"] - report_rho.hypothesis_values["rho_extremal"]
-    q_gap = report_q.hypothesis_values["q"] - report_q.hypothesis_values["q_extremal"]
-    if report_rho.hypothesis_met:
-        raise SharpnessError(f"spectral-radius hypothesis unexpectedly met on the extremal graph (gap {rho_gap})")
-    if abs(rho_gap) > margin:
+    summary = spectral_summary(gstar, tol)
+    rho_star, q_star = extremal_spectra(n, a)
+    rho_gap = summary.rho - rho_star
+    q_gap = summary.q - q_star
+    if abs(rho_gap) > DEFAULT_MARGIN:
         raise SharpnessError(f"spectral radius not at equality on the extremal graph (gap {rho_gap})")
-    if report_q.hypothesis_met:
-        raise SharpnessError(f"signless-Laplacian hypothesis unexpectedly met on the extremal graph (gap {q_gap})")
-    if abs(q_gap) > margin:
+    if abs(q_gap) > DEFAULT_MARGIN:
         raise SharpnessError(f"signless Laplacian radius not at equality on the extremal graph (gap {q_gap})")
 
     return SharpnessReport(
@@ -276,8 +248,8 @@ def verify_sharpness(
         a=a,
         b=b,
         witness=witness,
-        rho=report_rho.hypothesis_values["rho"],
-        q=report_q.hypothesis_values["q"],
+        rho=summary.rho,
+        q=summary.q,
         rho_gap=rho_gap,
         q_gap=q_gap,
     )
@@ -328,7 +300,6 @@ def scan(
     b: int,
     *,
     tol: float = DEFAULT_TOL,
-    margin: float = DEFAULT_MARGIN,
     max_n: int | None = None,
 ) -> Iterator[ScanRecord]:
     """Evaluate one condition against every graph6 line of a stream.
@@ -346,7 +317,7 @@ def scan(
             continue
         try:
             graph = parse_graph6(text)
-            report = eval_theorem(graph, theorem_id, a, b, tol=tol, margin=margin, max_n=max_n)
+            report = eval_theorem(graph, theorem_id, a, b, tol=tol, max_n=max_n)
         except (Graph6Error, ValueError) as exc:
             yield ScanRecord(index, text, None, str(exc))
             continue

@@ -1,11 +1,21 @@
-"""Shared test helpers: seeded random graphs and brute-force oracles."""
+"""Shared test helpers: seeded random graphs and brute-force oracles.
+
+The cross-check oracles here (the per-edge definition of "deleted" and the
+3^n integer (g, f)-factor test) are the references the tests compare the
+library's routes against; the library itself does not use them.
+"""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Sequence
 
-from fracdel import Graph, is_connected
+from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected
+from fracdel.graph import _bits
+from fracdel.oracle import _bounds_vectors, _check_subset_guard, _require_vertices, _validate_ab
+
+PAIR_GUARD = 12  # 3^n (S, T) pair enumeration refused above this without an override
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
@@ -56,3 +66,88 @@ def has_perfect_matching(g: Graph) -> bool:
         return ok
 
     return solve(g.full_mask())
+
+
+def is_fractional_ab_deleted_by_edges(graph: Graph, a: int, b: int, max_n: int | None = None) -> bool:
+    """The definition, verbatim: test G - e for every edge e. Vacuously true when edgeless."""
+    _validate_ab(a, b)
+    _require_vertices(graph)
+    _check_subset_guard(graph.n, max_n)
+    for u, v in graph.edges():
+        ok, _ = has_fractional_gf_factor(delete_edge(graph, u, v), a, b, max_n=max_n)
+        if not ok:
+            return False
+    return True
+
+
+# --- integer (g, f)-factors --------------------------------------------------
+
+
+def _mask_sums(vals: Sequence[int]) -> list[int]:
+    out = [0] * (1 << len(vals))
+    for mask in range(1, 1 << len(vals)):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] + vals[low.bit_length() - 1]
+    return out
+
+
+def has_gf_factor_lovasz(graph: Graph, g, f, max_n: int | None = None) -> bool:
+    """Exact test for an integer (g, f)-factor via the full deficiency form.
+
+    For every disjoint pair (S, T) checks
+    f(S) + d_{G-S}(T) - g(T) - q(S, T) >= 0, where q counts components C of
+    G - (S u T) with g = f on all of C and f(V(C)) + e(C, T) odd. That is a
+    3^n pair scan, so the guard is tighter than for the fractional tests.
+    """
+    _require_vertices(graph)
+    gv, fv = _bounds_vectors(graph, g, f)
+    limit = PAIR_GUARD if max_n is None else max_n
+    if graph.n > limit:
+        raise SizeGuardError(f"n={graph.n} exceeds the pair-enumeration limit {limit}; pass max_n to override")
+    n = graph.n
+    rows = [graph.adjacency_mask(v) for v in range(n)]
+    full = graph.full_mask()
+    gsum = _mask_sums(gv)
+    fsum = _mask_sums(fv)
+    tight = [gv[v] == fv[v] for v in range(n)]
+
+    comp_cache: dict[int, list[tuple[int, int, bool]]] = {}
+
+    def comp_info(avail: int) -> list[tuple[int, int, bool]]:
+        cached = comp_cache.get(avail)
+        if cached is not None:
+            return cached
+        info = []
+        rem = avail
+        while rem:
+            comp = rem & -rem
+            frontier = comp
+            while frontier:
+                grow = 0
+                for w in _bits(frontier):
+                    grow |= rows[w]
+                frontier = grow & avail & ~comp
+                comp |= frontier
+            rem &= ~comp
+            info.append((comp, fsum[comp], all(tight[w] for w in _bits(comp))))
+        comp_cache[avail] = info
+        return info
+
+    for smask in range(1 << n):
+        f_s = fsum[smask]
+        rem_deg = [(rows[v] & ~smask).bit_count() for v in range(n)]
+        compl = full & ~smask
+        tmask = compl
+        while True:
+            d_t = sum(rem_deg[v] for v in _bits(tmask))
+            g_t = gsum[tmask]
+            q = 0
+            for comp, f_c, uniform in comp_info(compl & ~tmask):
+                if uniform and (f_c + sum((rows[w] & tmask).bit_count() for w in _bits(comp))) & 1:
+                    q += 1
+            if f_s + d_t - g_t - q < 0:
+                return False
+            if tmask == 0:
+                break
+            tmask = (tmask - 1) & compl
+    return True

@@ -25,17 +25,15 @@ from fracdel import (
     find_fractional_factor,
     graphs_with_min_edges,
     has_fractional_gf_factor,
-    has_gf_factor_lovasz,
     hsf_bound,
     is_connected,
     is_fractional_ab_deleted,
-    is_fractional_ab_deleted_by_edges,
     parse_graph6,
     spectral_summary,
     to_graph6,
     verify_sharpness,
 )
-from helpers import gnp, has_perfect_matching
+from helpers import gnp, has_gf_factor_lovasz, has_perfect_matching, is_fractional_ab_deleted_by_edges
 
 CORPUS_SEED = 20260816
 CORPUS_SIZE = 2000

@@ -1,7 +1,10 @@
 """CLI subcommands, output schemas, and exit codes."""
 
+import contextlib
 import io
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -218,6 +221,36 @@ def test_scan_file_and_stdin_print_same_bytes(capsys, monkeypatch, tmp_path):
         from_stdin = run(capsys, *argv)
         assert from_file == from_stdin
         assert from_file[0] == 0 and from_file[1].count("\n") == rows
+
+
+def test_scan_max_n_past_the_mask_width_skips_the_oracle(capsys, monkeypatch):
+    lines = [to_graph6(g) for g in (complete(7), path_graph(64), complete(8))]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = run(capsys, "scan", "--theorem", "1.8", "--a", "1", "--b", "3", "--max-n", "100")
+    assert code == 0 and err == ""
+    rows = [ln.split("\t") for ln in out.splitlines()[1:-1]]
+    assert [r[3] for r in rows] == ["true", "skipped(size-guard)", "true"]
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["graphs"] == 3 and summary["oracle_skipped"] == 1
+
+
+def _scan_peak_bytes(path, lines: int) -> int:
+    """tracemalloc peak of one `scan --file` over `lines` malformed lines, output discarded."""
+    path.write_text("###\n" * lines, encoding="ascii")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        tracemalloc.start()
+        try:
+            assert main(["scan", "--file", str(path), "--theorem", "1.8", "--a", "1", "--b", "3"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_the_corpus(tmp_path):
+    small = _scan_peak_bytes(tmp_path / "small.g6", 2_000)
+    large = _scan_peak_bytes(tmp_path / "large.g6", 20_000)
+    # keeping every record would cost about 250 bytes a line: ~5 MB more here
+    assert large < small + (1 << 20), (small, large)
 
 
 def test_stdin_single_graph(capsys, monkeypatch):

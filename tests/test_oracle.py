@@ -18,13 +18,19 @@ from fracdel import (
     factor_deficiency_witness,
     find_fractional_factor,
     has_fractional_gf_factor,
-    has_gf_factor_lovasz,
     is_fractional_ab_deleted,
-    is_fractional_ab_deleted_by_edges,
     parse_graph6,
     theta,
 )
-from helpers import cycle_graph, gnp, has_perfect_matching, path_graph, star_graph
+from helpers import (
+    cycle_graph,
+    gnp,
+    has_gf_factor_lovasz,
+    has_perfect_matching,
+    is_fractional_ab_deleted_by_edges,
+    path_graph,
+    star_graph,
+)
 
 
 # --- theta / epsilon ---------------------------------------------------------

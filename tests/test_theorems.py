@@ -1,5 +1,6 @@
 """Sufficient-condition reports, sharpness replay, dense enumeration, scanning."""
 
+import dataclasses
 import json
 import random
 
@@ -11,13 +12,12 @@ from fracdel import (
     complete,
     delete_edge,
     disjoint_union,
-    eval_edge_count_condition,
-    eval_signless_laplacian_condition,
-    eval_spectral_radius_condition,
     eval_theorem,
     extremal,
+    extremal_spectra,
     graphs_with_min_edges,
     scan,
+    spectral_summary,
     summarize,
     to_graph6,
     verify_sharpness,
@@ -79,12 +79,6 @@ def test_applicability_gates():
     assert eval_theorem(disconnected, "1.8", 1, 3).applicable
 
 
-def test_margin_is_respected():
-    # with an absurdly large margin even K_7's clear hypothesis fails
-    r = eval_theorem(complete(7), "1.4", 1, 3, margin=10.0)
-    assert not r.hypothesis_met and r.margin == 10.0
-
-
 def test_oracle_skip_above_guard():
     r = eval_theorem(path_graph(25), "1.8", 1, 3)
     assert r.oracle_verdict == "skipped(size-guard)"
@@ -99,13 +93,6 @@ def test_eval_validation():
         eval_theorem(complete(7), "2.1", 1, 3)
     with pytest.raises(ValueError):
         eval_theorem(complete(7), "1.4", 3, 1)
-
-
-def test_named_wrappers_dispatch():
-    g = complete(8)
-    assert eval_spectral_radius_condition(g, 1, 3).theorem_id == "1.4"
-    assert eval_signless_laplacian_condition(g, 1, 3).theorem_id == "1.6"
-    assert eval_edge_count_condition(g, 1, 3).theorem_id == "1.8"
 
 
 def test_report_json_shape_and_determinism():
@@ -127,7 +114,7 @@ def test_verify_sharpness_passes():
     rep = verify_sharpness(9, 2, 3)
     assert rep.witness.s == () and rep.witness.t == (8,)
     assert rep.witness.theta == 0 and rep.witness.epsilon == 1
-    assert rep.rho_gap == 0.0 and rep.q_gap == 0.0
+    assert abs(rep.rho_gap) <= 1e-12 and abs(rep.q_gap) <= 1e-12
     data = rep.to_json()
     assert data["passed"] is True and data["witness"]["T"] == [8]
 
@@ -143,6 +130,46 @@ def test_verify_sharpness_detects_violation(monkeypatch):
     monkeypatch.setattr(fracdel.theorems, "is_fractional_ab_deleted", lambda *a, **k: (True, None))
     with pytest.raises(SharpnessError):
         verify_sharpness(9, 2, 3)
+
+
+def test_verify_sharpness_detects_spectral_gap(monkeypatch):
+    # the replay compares the matrix solve with the quotient closed form, so a
+    # solve that drifts from it must be caught
+    real = fracdel.theorems.spectral_summary
+
+    def drifted(graph, *args, **kwargs):
+        summary = real(graph, *args, **kwargs)
+        return dataclasses.replace(summary, rho=summary.rho + 1e-6)
+
+    monkeypatch.setattr(fracdel.theorems, "spectral_summary", drifted)
+    with pytest.raises(SharpnessError, match="spectral radius"):
+        verify_sharpness(9, 2, 3)
+
+
+def test_verify_sharpness_runs_each_solver_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(fracdel.theorems, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("is_fractional_ab_deleted", "spectral_summary"):
+        monkeypatch.setattr(fracdel.theorems, name, counted(name))
+    verify_sharpness(9, 2, 3)
+    assert sorted(calls) == ["is_fractional_ab_deleted", "spectral_summary"]
+
+
+@pytest.mark.parametrize("n, a", [(7, 1), (9, 2), (12, 3), (20, 5), (31, 7), (45, 10), (60, 1), (60, 20), (60, 58)])
+def test_extremal_spectra_match_the_matrix_solve(n, a):
+    summary = spectral_summary(extremal(n, a))
+    rho_star, q_star = extremal_spectra(n, a)
+    assert abs(summary.rho - rho_star) <= 1e-12
+    assert abs(summary.q - q_star) <= 1e-12
 
 
 # --- dense enumeration -----------------------------------------------------------
