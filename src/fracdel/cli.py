@@ -32,9 +32,13 @@ __all__ = ["main"]
 _TSV_COLUMNS = ("id", "theorem", "hypothesis_met", "oracle", "consistent", "rho", "q", "e", "delta")
 
 
+def _round(x: float) -> float:
+    return round(x, 12) + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
+
+
 def _round_floats(value):
     if isinstance(value, float):
-        return round(value, 12)
+        return _round(value)
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -54,7 +58,7 @@ def _tsv_cell(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, float):
-        return format(round(value, 12), ".12g")
+        return format(_round(value), ".12g")
     return str(value)
 
 
@@ -144,14 +148,14 @@ def _cmd_factor(args) -> int:
 
 def _cmd_theorem(args) -> int:
     graph = _read_one_graph(args)
-    report = eval_theorem(graph, args.theorem, args.a, args.b, tol=args.tol, max_n=args.max_n)
+    report = eval_theorem(graph, args.theorem, args.a, args.b, max_n=args.max_n)
     _emit(report.to_json())
     return 0 if report.consistent else 1
 
 
 def _cmd_sharpness(args) -> int:
     try:
-        report = verify_sharpness(args.n, args.a, args.b, tol=args.tol)
+        report = verify_sharpness(args.n, args.a, args.b)
     except SharpnessError as exc:
         print(f"sharpness violation: {exc}", file=sys.stderr)
         return 1
@@ -161,7 +165,7 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_scan(args) -> int:
     with _input_lines(args) as lines:
-        counts = summarize(_printed(args, scan(lines, args.theorem, args.a, args.b, tol=args.tol, max_n=args.max_n)))
+        counts = summarize(_printed(args, scan(lines, args.theorem, args.a, args.b, max_n=args.max_n)))
     _emit(counts)
     return 3 if counts["counterexamples"] else 0
 
@@ -231,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=THEOREM_IDS, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.set_defaults(handler=_cmd_theorem)
 
@@ -239,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(handler=_cmd_sharpness)
 
     p = sub.add_parser("scan", help="stream a graph6 corpus through one condition")
@@ -248,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.set_defaults(handler=_cmd_scan)
 

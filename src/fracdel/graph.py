@@ -117,10 +117,12 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            row = self._rows[u] >> (u + 1) << (u + 1)
-            for v in _bits(row):
-                yield (u, v)
+        for u, row in enumerate(self._rows):
+            row &= -2 << u  # neighbours above u
+            while row:
+                low = row & -row
+                yield (u, low.bit_length() - 1)
+                row ^= low
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

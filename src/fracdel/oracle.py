@@ -9,12 +9,15 @@ Two independent routes are provided and kept deliberately separate:
 
 * ``is_fractional_ab_deleted``: a deficiency criterion over vertex subsets S
   with a derived low-degree set T, refuted by an explicit (S, T) witness;
-* ``find_fractional_factor``: a constructive max-flow certificate producing
-  half-integral edge weights that can be rechecked in exact arithmetic.
+* ``find_fractional_factor``: a constructive certificate, a (g, f)-factor of
+  the bipartite double cover found by greedy matching and alternating paths
+  on the adjacency bitmasks, giving half-integral edge weights that can be
+  rechecked in exact arithmetic, or None with a Hall-type proof behind it.
 
 The third route the tests compare against, the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), lives in
-the test suite together with the integer (g, f)-factor test.
+the test suite together with the integer (g, f)-factor test and a
+lower-bound max-flow network that the certificate route is checked against.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, degree_sum_minus
-from .maxflow import feasible_flow
+from .graph import Graph, _bits, degree_sum_minus
 
 __all__ = [
     "SUBSET_GUARD",
@@ -330,36 +332,115 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     return _subset_decide(graph, (a + 1,) * n, (b,) * n, (a,) * n, True, lambda s: deficiency_witness(graph, s, a, b))
 
 
+# --- double-cover b-matching ---------------------------------------------------
+#
+# F is a set of arcs x -> y' of the bipartite double cover (x on the left, y'
+# on the right, one arc each way per edge). It is held as two lists of masks:
+# own[x] has bit y for every arc x -> y', other[y] has bit x for the same arc,
+# so one routine serves both sides by swapping the two lists. Every degree
+# stays <= f. A vertex of the side being raised that is below g roots one
+# alternating search: it leaves a vertex of its own side by an edge not in F
+# and comes back by an edge in F, and it stops where the path can be flipped
+# without breaking a bound (an other-side vertex below f, or an own-side
+# vertex above g). Flipping raises the root by one and moves no other degree
+# of its side below g, so the first side stays raised while the second is.
+
+
+def _greedy_start(adj: Sequence[int], gv: Sequence[int], fv: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Give each left vertex up to g of its lowest-numbered neighbours whose right copy has room."""
+    n = len(adj)
+    out, into = [0] * n, [0] * n
+    room = sum(1 << v for v in range(n) if fv[v] > 0)
+    for u in range(n):
+        pick = adj[u] & room
+        for _ in range(gv[u]):
+            if not pick:
+                break
+            low = pick & -pick
+            v = low.bit_length() - 1
+            pick ^= low
+            out[u] |= low
+            into[v] |= 1 << u
+            if into[v].bit_count() == fv[v]:
+                room ^= low
+    return out, into
+
+
+def _alternating_path(adj, gv, fv, own, other, root: int) -> list[int] | None:
+    """A shortest flippable path [root, y1, x1, y2, ...] from an own-side root, or None.
+
+    Steps x -> y use edges not in F, steps y -> x edges in F. The path ends at
+    an other-side y with deg < f(y) or at an own-side x with deg > g(x). None
+    means no such path exists: the own-side vertices reached, X, and the
+    other-side ones, Y, then have g(X) > f(Y) + e(X, outside Y), which no
+    factor can meet.
+    """
+    came_by_free = {}  # other-side y -> the own-side x whose edge to y is not in F
+    came_by_f = {}  # own-side x -> the other-side y whose edge to x is in F
+    seen_own, seen_other = 1 << root, 0
+    queue = [root]
+    for x in queue:
+        step = adj[x] & ~own[x] & ~seen_other
+        seen_other |= step
+        for y in _bits(step):
+            came_by_free[y] = x
+            if other[y].bit_count() < fv[y]:
+                return _unwind([y], came_by_free, came_by_f, root)
+            back = other[y] & ~seen_own
+            seen_own |= back
+            for x2 in _bits(back):
+                came_by_f[x2] = y
+                if own[x2].bit_count() > gv[x2]:
+                    return _unwind([x2, y], came_by_free, came_by_f, root)
+                queue.append(x2)
+    return None
+
+
+def _unwind(tail: list[int], came_by_free: dict, came_by_f: dict, root: int) -> list[int]:
+    """The path from root to tail[0], following the search's parent links back from tail[-1]."""
+    path = tail
+    while True:
+        x = came_by_free[path[-1]]
+        path.append(x)
+        if x == root:
+            return path[::-1]
+        path.append(came_by_f[x])
+
+
+def _flip(path: list[int], own: list[int], other: list[int]) -> None:
+    """Toggle F along an alternating path that starts on the own side."""
+    for i in range(len(path) - 1):
+        x, y = (path[i], path[i + 1]) if i % 2 == 0 else (path[i + 1], path[i])
+        own[x] ^= 1 << y
+        other[y] ^= 1 << x
+
+
+def _raise_to_g(adj, gv, fv, own: list[int], other: list[int]) -> bool:
+    """Raise every own-side vertex to g by flipping alternating paths; False if one cannot be."""
+    for root in range(len(adj)):
+        while own[root].bit_count() < gv[root]:
+            path = _alternating_path(adj, gv, fv, own, other, root)
+            if path is None:
+                return False
+            _flip(path, own, other)
+    return True
+
+
 def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     """Constructive route: a half-integral fractional (g, f)-factor, or None.
 
-    Models the relaxation as a flow with lower bounds on the bipartite
-    double cover: each edge uv becomes two unit arcs u->v' and v->u', each
-    vertex must pull between g(v) and f(v) on both sides. Integer flows
-    there are exactly twice a half-integral factor, and feasibility of the
-    flow is equivalent to existence of a fractional factor, so this agrees
-    with ``has_fractional_gf_factor`` on every input.
+    Solves a bipartite (g, f)-factor F on the double cover of G (each edge
+    uv becomes the arcs u -> v' and v -> u'), greedy first, then alternating
+    paths for the left side and afterwards the right side. A fractional
+    (g, f)-factor exists exactly when F does, and h(uv) = ([u -> v' in F] +
+    [v -> u' in F]) / 2 is one; a failed search is a Hall-type proof that
+    none exists, so this agrees with ``has_fractional_gf_factor`` on every
+    input.
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    n = graph.n
-    edges = list(graph.edges())
-    source, sink = 0, 1
-    left = lambda v: 2 + v
-    right = lambda v: 2 + n + v
-    arcs = []
-    for v in range(n):
-        arcs.append((source, left(v), gv[v], fv[v]))
-        arcs.append((right(v), sink, gv[v], fv[v]))
-    edge_base = len(arcs)
-    for u, v in edges:
-        arcs.append((left(u), right(v), 0, 1))
-        arcs.append((left(v), right(u), 0, 1))
-    flows = feasible_flow(2 + 2 * n, arcs, source, sink)
-    if flows is None:
+    adj = [graph.adjacency_mask(v) for v in range(graph.n)]
+    out, into = _greedy_start(adj, gv, fv)
+    if not (_raise_to_g(adj, gv, fv, out, into) and _raise_to_g(adj, gv, fv, into, out)):
         return None
-    halves = {
-        (u, v): flows[edge_base + 2 * k] + flows[edge_base + 2 * k + 1]
-        for k, (u, v) in enumerate(edges)
-    }
-    return FractionalAssignment(halves)
+    return FractionalAssignment({(u, v): (out[u] >> v & 1) + (out[v] >> u & 1) for u, v in graph.edges()})

@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import Graph, Graph6Error, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
-from .spectral import DEFAULT_TOL, ConvergenceError, spectral_summary
+from .spectral import ConvergenceError, spectral_summary
 
 __all__ = [
     "THEOREM_IDS",
@@ -100,7 +100,6 @@ def eval_theorem(
     a: int,
     b: int,
     *,
-    tol: float = DEFAULT_TOL,
     max_n: int | None = None,
 ) -> TheoremReport:
     """Evaluate one sufficient condition and the exact oracle on a graph.
@@ -119,7 +118,7 @@ def eval_theorem(
     e = graph.edge_count
     delta = graph.min_degree()
     connected = is_connected(graph)
-    summary = spectral_summary(graph, tol)
+    summary = spectral_summary(graph)
 
     applicable = b >= max(a, 3) and n >= max(a + 2, 7)
     if theorem_id == "1.6":
@@ -206,7 +205,7 @@ class SharpnessReport:
         }
 
 
-def verify_sharpness(n: int, a: int, b: int, *, tol: float = DEFAULT_TOL) -> SharpnessReport:
+def verify_sharpness(n: int, a: int, b: int) -> SharpnessReport:
     """Replay the tightness argument for the extremal graph at (n, a, b).
 
     Checks that the extremal graph is NOT fractional [a, b]-deleted, that the
@@ -234,7 +233,7 @@ def verify_sharpness(n: int, a: int, b: int, *, tol: float = DEFAULT_TOL) -> Sha
     if witness.theta != 0 or witness.epsilon != 1:
         raise SharpnessError(f"expected theta=0 < epsilon=1, got theta={witness.theta}, epsilon={witness.epsilon}")
 
-    summary = spectral_summary(gstar, tol)
+    summary = spectral_summary(gstar)
     rho_star, q_star = extremal_spectra(n, a)
     rho_gap = summary.rho - rho_star
     q_gap = summary.q - q_star
@@ -299,7 +298,6 @@ def scan(
     a: int,
     b: int,
     *,
-    tol: float = DEFAULT_TOL,
     max_n: int | None = None,
 ) -> Iterator[ScanRecord]:
     """Evaluate one condition against every graph6 line of a stream.
@@ -317,7 +315,7 @@ def scan(
             continue
         try:
             graph = parse_graph6(text)
-            report = eval_theorem(graph, theorem_id, a, b, tol=tol, max_n=max_n)
+            report = eval_theorem(graph, theorem_id, a, b, max_n=max_n)
         except (Graph6Error, ValueError) as exc:
             yield ScanRecord(index, text, None, str(exc))
             continue

@@ -1,8 +1,9 @@
 """Shared test helpers: seeded random graphs and brute-force oracles.
 
-The cross-check oracles here (the per-edge definition of "deleted" and the
-3^n integer (g, f)-factor test) are the references the tests compare the
-library's routes against; the library itself does not use them.
+The cross-check oracles here (the per-edge definition of "deleted", the
+lower-bound flow network for fractional factors and the 3^n integer
+(g, f)-factor test) are the references the tests compare the library's
+routes against; the library itself does not use them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from typing import Sequence
 
 from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected
 from fracdel.graph import _bits
-from fracdel.oracle import _bounds_vectors, _check_subset_guard, _require_vertices, _validate_ab
+from fracdel.maxflow import feasible_flow
+from fracdel.oracle import (
+    FractionalAssignment,
+    _bounds_vectors,
+    _check_subset_guard,
+    _require_vertices,
+    _validate_ab,
+)
 
 PAIR_GUARD = 12  # 3^n (S, T) pair enumeration refused above this without an override
 
@@ -78,6 +86,39 @@ def is_fractional_ab_deleted_by_edges(graph: Graph, a: int, b: int, max_n: int |
         if not ok:
             return False
     return True
+
+
+def find_fractional_factor_by_flow(graph: Graph, g, f) -> FractionalAssignment | None:
+    """Reference for ``find_fractional_factor``: a flow with lower bounds on the double cover.
+
+    Each edge uv becomes two unit arcs u -> v' and v -> u', and each vertex
+    must pull between g(v) and f(v) on both sides. Integer flows there are
+    exactly twice a half-integral factor, and the flow is feasible exactly
+    when a fractional (g, f)-factor exists.
+    """
+    _require_vertices(graph)
+    gv, fv = _bounds_vectors(graph, g, f)
+    n = graph.n
+    edges = list(graph.edges())
+    source, sink = 0, 1
+    left = lambda v: 2 + v
+    right = lambda v: 2 + n + v
+    arcs = []
+    for v in range(n):
+        arcs.append((source, left(v), gv[v], fv[v]))
+        arcs.append((right(v), sink, gv[v], fv[v]))
+    edge_base = len(arcs)
+    for u, v in edges:
+        arcs.append((left(u), right(v), 0, 1))
+        arcs.append((left(v), right(u), 0, 1))
+    flows = feasible_flow(2 + 2 * n, arcs, source, sink)
+    if flows is None:
+        return None
+    halves = {
+        (u, v): flows[edge_base + 2 * k] + flows[edge_base + 2 * k + 1]
+        for k, (u, v) in enumerate(edges)
+    }
+    return FractionalAssignment(halves)
 
 
 # --- integer (g, f)-factors --------------------------------------------------

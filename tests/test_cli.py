@@ -49,6 +49,8 @@ def test_spectral_json(capsys):
     assert data["q"] == pytest.approx(4.0, abs=1e-9)
     assert data["hsf_bound"] == pytest.approx(2.0, abs=1e-9)
     assert data["feng_yu_bound"] == pytest.approx(4.0, abs=1e-9)
+    code, out, _ = run(capsys, "spectral", "--graph6", "Bw", "--tol", "1e-12")
+    assert code == 0 and json.loads(out)["tol"] == 1e-12
 
 
 def test_spectral_disconnected_has_null_feng_yu(capsys):
@@ -123,6 +125,27 @@ def test_sharpness(capsys):
     assert data["passed"] is True and data["witness"]["T"] == [8]
     code, _, err = run(capsys, "sharpness", "--n", "6", "--a", "1", "--b", "3")
     assert code == 2
+
+
+def test_rounded_zero_prints_without_a_sign(capsys):
+    code, out, _ = run(capsys, "sharpness", "--n", "7", "--a", "1", "--b", "4")
+    assert code == 0
+    assert "-0.0" not in out and json.loads(out)["q_gap"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem", "--graph6", "F~~~w", "--theorem", "1.8", "--a", "1", "--b", "3"],
+        ["scan", "--graph6", "F~~~w", "--theorem", "1.8", "--a", "1", "--b", "3"],
+        ["sharpness", "--n", "9", "--a", "2", "--b", "3"],
+    ],
+)
+def test_tol_is_refused_where_a_hypothesis_is_decided(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv + ["--tol", "1e-3"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_sharpness_violation_exit(capsys, monkeypatch):

@@ -195,6 +195,14 @@ def test_handshake_on_random_graphs():
         assert sum(g.degrees()) == 2 * g.edge_count
 
 
+def test_edges_in_lexicographic_order():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(0, 70)
+        g = gnp(n, rng.choice([0.1, 0.5, 0.9]), rng)
+        assert list(g.edges()) == [(u, v) for u, v in combinations(range(n), 2) if g.has_edge(u, v)]
+
+
 def test_components():
     g = disjoint_union(complete(3), disjoint_union(Graph(1), cycle_graph(4)))
     assert components(g) == [(0, 1, 2), (3,), (4, 5, 6, 7)]

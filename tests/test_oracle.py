@@ -22,8 +22,10 @@ from fracdel import (
     parse_graph6,
     theta,
 )
+from fracdel.oracle import _alternating_path, _greedy_start
 from helpers import (
     cycle_graph,
+    find_fractional_factor_by_flow,
     gnp,
     has_gf_factor_lovasz,
     has_perfect_matching,
@@ -272,6 +274,70 @@ def test_flow_certificate_matches_subset_test():
         if assignment is not None:
             assert assignment.satisfies(g, gl, fu)
             assert all(h in (0, 1, 2) for h in assignment.halves.values())
+
+
+def _random_bounds(g, rng):
+    """Constant or per-vertex (g, f), with g = 0 and f > deg(v) both common."""
+    if rng.random() < 0.5:
+        lo = rng.randint(0, 3)
+        return lo, lo + rng.randint(0, 3)
+    lo = [rng.randint(0, 3) for _ in range(g.n)]
+    hi = [x + rng.randint(0, 2) if rng.random() < 0.7 else max(x, g.degree(v) + 1) for v, x in enumerate(lo)]
+    return lo, hi
+
+
+def test_flow_certificate_agrees_with_the_lower_bound_network():
+    rng = random.Random(4401)
+    infeasible = 0
+    seen = set()
+    for _ in range(3000):
+        n = rng.choice([1, 2, 3, 5, 8, 12, 16, 24, 32, 40]) if rng.random() < 0.3 else rng.randint(1, 12)
+        g = gnp(n, rng.choice([0.0, 0.15, 0.3, 0.5, 0.8, 1.0]), rng)
+        gl, fu = _random_bounds(g, rng)
+        got = find_fractional_factor(g, gl, fu)
+        ref = find_fractional_factor_by_flow(g, gl, fu)
+        assert (got is None) == (ref is None), (g, gl, fu)
+        if got is None:
+            infeasible += 1
+        else:
+            assert got.satisfies(g, gl, fu)
+        gv = [gl] * n if isinstance(gl, int) else gl
+        fv = [fu] * n if isinstance(fu, int) else fu
+        seen |= {
+            "n=1" if n == 1 else "edgeless" if g.edge_count == 0 else "n>32" if n > 32 else "n<=32",
+            "per-vertex" if isinstance(gl, list) else "constant",
+        }
+        seen |= {"g=0"} if 0 in gv else set()
+        seen |= {"f>deg"} if any(fv[v] > g.degree(v) for v in range(n)) else set()
+    assert seen == {"n=1", "edgeless", "n>32", "n<=32", "per-vertex", "constant", "g=0", "f>deg"}
+    assert 300 < infeasible < 2700
+
+
+def test_flow_certificate_repairs_a_greedy_deficit_with_a_long_path():
+    # the path 3-0-2-1 with g = f = 1: greedy gives left 0 its lowest neighbour 2',
+    # which leaves left 1 (whose only neighbour is 2') with nothing
+    g = Graph(4, [(0, 2), (0, 3), (1, 2)])
+    adj = [g.adjacency_mask(v) for v in range(4)]
+    out, into = _greedy_start(adj, [1] * 4, [1] * 4)
+    assert out[1] == 0
+    assert _alternating_path(adj, [1] * 4, [1] * 4, out, into, 1) == [1, 2, 0, 3]  # 3 edges: 1-2' 2'-0 0-3'
+    fa = find_fractional_factor(g, 1, 1)
+    assert fa is not None and fa.satisfies(g, 1, 1)
+    assert fa.halves == {(0, 2): 0, (0, 3): 2, (1, 2): 2}
+
+
+def test_flow_certificate_hall_exit():
+    # K_{1,3} with g = f = 1: from left 2 the search reaches X = {1, 2} on the left
+    # and Y = {0} on the right, and g(X) = 2 > f(Y) + e(X, outside Y) = 1 + 0
+    g = star_graph(3)
+    adj = [g.adjacency_mask(v) for v in range(4)]
+    out, into = _greedy_start(adj, [1] * 4, [1] * 4)
+    assert (out[2], out[3]) == (0, 0)
+    assert _alternating_path(adj, [1] * 4, [1] * 4, out, into, 2) is None
+    x, y = {1, 2}, {0}
+    assert len(x) > len(y) + sum(1 for u in x for v in g.neighbors(u) if v not in y)
+    assert find_fractional_factor(g, 1, 1) is None
+    assert find_fractional_factor_by_flow(g, 1, 1) is None
 
 
 def test_assignment_accessors():
