@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -198,7 +199,12 @@ def _printed(args, records) -> Iterator:
         yield record
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared after: parsing leaves it unchanged.
+
+    Not built at import, which would add its few milliseconds to every import.
+    """
     parser = argparse.ArgumentParser(
         prog="fracdel",
         description="Decide fractional [a,b]-deleted graphs, compute spectral bounds, "
@@ -257,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (Graph6Error, SizeGuardError, ValueError, OSError) as exc:

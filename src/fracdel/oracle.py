@@ -5,19 +5,28 @@ every vertex v sees a weighted degree between g(v) and f(v). G is fractional
 [a, b]-deleted when G - e has a fractional [a, b]-factor (constant g = a,
 f = b) for every single edge e.
 
-Two independent routes are provided and kept deliberately separate:
+Two routes underlie everything here:
 
-* ``is_fractional_ab_deleted``: a deficiency criterion over vertex subsets S
-  with a derived low-degree set T, refuted by an explicit (S, T) witness;
-* ``find_fractional_factor``: a constructive certificate, a (g, f)-factor of
-  the bipartite double cover found by greedy matching and alternating paths
-  on the adjacency bitmasks, giving half-integral edge weights that can be
-  rechecked in exact arithmetic, or None with a Hall-type proof behind it.
+* a deficiency criterion over vertex subsets S with a derived low-degree set
+  T, scanned over all 2^n masks and refuted by an explicit (S, T) witness
+  (``has_fractional_gf_factor``, and ``_subset_deleted`` for "deleted");
+* a constructive certificate, a (g, f)-factor of the bipartite double cover
+  found by greedy matching and alternating paths on the adjacency bitmasks,
+  giving half-integral edge weights that can be rechecked in exact
+  arithmetic, or None with a Hall-type proof behind it
+  (``find_fractional_factor``).
 
-The third route the tests compare against, the definition itself (the
-subset-based ``has_fractional_gf_factor`` on G - e for every edge), lives in
-the test suite together with the integer (g, f)-factor test and a
-lower-bound max-flow network that the certificate route is checked against.
+``is_fractional_ab_deleted`` uses both. A true verdict comes from the double
+cover in polynomial time: one factor F0 of G is built, an edge outside its
+support leaves F0 a factor of G - e, and each edge it uses is dropped from a
+fresh copy of F0, which alternating paths then repair; every repair succeeds
+exactly when G is deleted. Only a refutation runs the 2^n scan, to report
+the first violating S in (size, lex) order, and the scan must find one.
+
+The test suite compares these against the definition itself (the
+subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
+subset criterion alone, per-edge certificates, the integer (g, f)-factor test
+and a lower-bound max-flow network for the certificate route.
 """
 
 from __future__ import annotations
@@ -317,17 +326,32 @@ def has_fractional_gf_factor(graph: Graph, g, f, max_n: int | None = None):
 def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = None):
     """Exact test that G - e has a fractional [a, b]-factor for every edge e.
 
-    Decided by the subset criterion: for every S, with the derived
-    T = {v not in S : d_{G-S}(v) <= a}, theta(S, T) must reach epsilon(S, T).
-    An edgeless graph is vacuously deleted (there is no edge to remove), so
-    it returns (True, None) without scanning. Returns (False, witness) with
-    the first violating S in (size, lex) order otherwise.
+    An edgeless graph is vacuously deleted (there is no edge to remove) and
+    returns (True, None). Otherwise a true verdict is decided by repairing
+    one [a, b]-factor of the double cover for each edge it uses, in
+    polynomial time. A false one is reported as (False, witness) with the
+    first S in (size, lex) order that violates the subset criterion: for
+    every S, with the derived T = {v not in S : d_{G-S}(v) <= a},
+    theta(S, T) must reach epsilon(S, T). That witness needs the 2^n scan,
+    unless S = {} already violates. The size guard applies to both verdicts.
     """
     _validate_ab(a, b)
     _require_vertices(graph)
     _check_subset_guard(graph.n, max_n)
-    if graph.edge_count == 0:
+    if graph.edge_count == 0 or _deleted_by_repair(graph, a, b):
         return True, None
+    at_empty = deficiency_witness(graph, (), a, b)
+    if not at_empty.satisfied:
+        return False, at_empty
+    verdict, witness = _subset_deleted(graph, a, b)
+    if verdict:
+        raise RuntimeError("the double cover refutes the graph, but no subset S violates the criterion")
+    return False, witness
+
+
+def _subset_deleted(graph: Graph, a: int, b: int):
+    """The subset criterion alone, on a graph with at least one edge: (True, None),
+    or (False, witness) for the first violating S in (size, lex) order."""
     n = graph.n
     return _subset_decide(graph, (a + 1,) * n, (b,) * n, (a,) * n, True, lambda s: deficiency_witness(graph, s, a, b))
 
@@ -347,21 +371,25 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
 
 
 def _greedy_start(adj: Sequence[int], gv: Sequence[int], fv: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Give each left vertex up to g of its lowest-numbered neighbours whose right copy has room."""
+    """Give each left vertex up to g lowest-numbered neighbours whose right copy has room,
+    taking right copies still below g first."""
     n = len(adj)
     out, into = [0] * n, [0] * n
+    below = sum(1 << v for v in range(n) if gv[v] > 0)
     room = sum(1 << v for v in range(n) if fv[v] > 0)
     for u in range(n):
-        pick = adj[u] & room
         for _ in range(gv[u]):
+            pick = adj[u] & below & ~out[u] or adj[u] & room & ~out[u]
             if not pick:
                 break
             low = pick & -pick
             v = low.bit_length() - 1
-            pick ^= low
             out[u] |= low
             into[v] |= 1 << u
-            if into[v].bit_count() == fv[v]:
+            d = into[v].bit_count()
+            if d == gv[v]:
+                below ^= low
+            if d == fv[v]:
                 room ^= low
     return out, into
 
@@ -426,6 +454,44 @@ def _raise_to_g(adj, gv, fv, own: list[int], other: list[int]) -> bool:
     return True
 
 
+def _double_cover_factor(adj, gv, fv) -> tuple[list[int], list[int]] | None:
+    """A (g, f)-factor of the double cover as (out, into) masks, or None if there is none."""
+    out, into = _greedy_start(adj, gv, fv)
+    if _raise_to_g(adj, gv, fv, out, into) and _raise_to_g(adj, gv, fv, into, out):
+        return out, into
+    return None
+
+
+def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
+    """Whether G - e has a fractional [a, b]-factor for every edge e, on a graph with an edge.
+
+    One [a, b]-factor F0 of the double cover is built; if there is none, no
+    G - e has one either. An edge uv outside F0's support (neither u -> v'
+    nor v -> u' in F0) leaves F0 a factor of G - uv. For each edge in the
+    support, a fresh copy of F0 loses the edge's arcs, which lowers at most
+    four degrees by one and keeps every degree <= b, and is raised again on
+    the left side and then the right. Raising is exact from any such start,
+    so a failed search means G - uv has no factor.
+    """
+    n = graph.n
+    gv, fv = (a,) * n, (b,) * n
+    adj = [graph.adjacency_mask(v) for v in range(n)]
+    start = _double_cover_factor(adj, gv, fv)
+    if start is None:
+        return False
+    out0, into0 = start
+    for u in range(n):
+        for v in _bits((out0[u] | into0[u]) >> (u + 1) << (u + 1)):  # support edges uv with v > u
+            adj_e, out, into = adj.copy(), out0.copy(), into0.copy()
+            for x, y in ((u, v), (v, u)):
+                adj_e[x] ^= 1 << y
+                out[x] &= ~(1 << y)
+                into[y] &= ~(1 << x)
+            if not (_raise_to_g(adj_e, gv, fv, out, into) and _raise_to_g(adj_e, gv, fv, into, out)):
+                return False
+    return True
+
+
 def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     """Constructive route: a half-integral fractional (g, f)-factor, or None.
 
@@ -439,8 +505,8 @@ def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    adj = [graph.adjacency_mask(v) for v in range(graph.n)]
-    out, into = _greedy_start(adj, gv, fv)
-    if not (_raise_to_g(adj, gv, fv, out, into) and _raise_to_g(adj, gv, fv, into, out)):
+    found = _double_cover_factor([graph.adjacency_mask(v) for v in range(graph.n)], gv, fv)
+    if found is None:
         return None
+    out, _ = found
     return FractionalAssignment({(u, v): (out[u] >> v & 1) + (out[v] >> u & 1) for u, v in graph.edges()})

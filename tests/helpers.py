@@ -1,9 +1,10 @@
 """Shared test helpers: seeded random graphs and brute-force oracles.
 
 The cross-check oracles here (the per-edge definition of "deleted", the
-lower-bound flow network for fractional factors and the 3^n integer
-(g, f)-factor test) are the references the tests compare the library's
-routes against; the library itself does not use them.
+subset criterion alone, the lower-bound flow network for fractional factors
+and the 3^n integer (g, f)-factor test) are the references the tests compare
+the library's routes against; the library itself does not use them, except
+that it reports a refutation's witness through the same subset scan.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fracdel.oracle import (
     _bounds_vectors,
     _check_subset_guard,
     _require_vertices,
+    _subset_deleted,
     _validate_ab,
 )
 
@@ -86,6 +88,17 @@ def is_fractional_ab_deleted_by_edges(graph: Graph, a: int, b: int, max_n: int |
         if not ok:
             return False
     return True
+
+
+def is_fractional_ab_deleted_by_subsets(graph: Graph, a: int, b: int, max_n: int | None = None):
+    """The subset criterion alone, over all 2^n masks, with no double-cover shortcut.
+    Vacuously true when edgeless."""
+    _validate_ab(a, b)
+    _require_vertices(graph)
+    _check_subset_guard(graph.n, max_n)
+    if graph.edge_count == 0:
+        return True, None
+    return _subset_deleted(graph, a, b)
 
 
 def find_fractional_factor_by_flow(graph: Graph, g, f) -> FractionalAssignment | None:

@@ -33,7 +33,13 @@ from fracdel import (
     to_graph6,
     verify_sharpness,
 )
-from helpers import gnp, has_gf_factor_lovasz, has_perfect_matching, is_fractional_ab_deleted_by_edges
+from helpers import (
+    gnp,
+    has_gf_factor_lovasz,
+    has_perfect_matching,
+    is_fractional_ab_deleted_by_edges,
+    is_fractional_ab_deleted_by_subsets,
+)
 
 CORPUS_SEED = 20260816
 CORPUS_SIZE = 2000
@@ -79,15 +85,18 @@ def _flow_certified(graph, a, b):
 
 @pytest.fixture(scope="module")
 def route_results(corpus):
-    """Verdicts from all three decision routes for every (graph, a, b)."""
+    """Verdicts from all four decision routes for every (graph, a, b): the public
+    decider (double-cover repair, subset scan for refutations), the subset
+    criterion alone, the per-edge definition and per-edge certificates."""
     start = time.perf_counter()
     verdicts = {}
     for i, graph in enumerate(corpus):
         for a, b in AB_PAIRS:
-            subset_route = is_fractional_ab_deleted(graph, a, b)[0]
+            public_route = is_fractional_ab_deleted(graph, a, b)[0]
+            subset_route = is_fractional_ab_deleted_by_subsets(graph, a, b)[0]
             edge_route = is_fractional_ab_deleted_by_edges(graph, a, b)
             flow_route = _flow_certified(graph, a, b)
-            verdicts[i, (a, b)] = (subset_route, edge_route, flow_route)
+            verdicts[i, (a, b)] = (public_route, subset_route, edge_route, flow_route)
     return {"verdicts": verdicts, "elapsed": time.perf_counter() - start}
 
 
@@ -118,7 +127,7 @@ def dense7():
 
 def test_criterion_1_three_routes_agree(corpus, route_results):
     details = {}
-    with criterion(1, "three independent decision routes agree on the random corpus", details):
+    with criterion(1, "the public decider and three independent routes agree on the random corpus", details):
         verdicts = route_results["verdicts"]
         assert len(verdicts) == CORPUS_SIZE * len(AB_PAIRS)
         mismatches = [key for key, votes in verdicts.items() if len(set(votes)) != 1]

@@ -4,7 +4,11 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,46 @@ def test_check_guard_exit(capsys):
     )
     assert code == 1  # a path is not [1,3]-deleted: end edges strand a vertex
     assert json.loads(out)["verdict"] is False
+
+
+def test_check_past_the_guard_answers_true_without_the_subset_scan(capsys):
+    # a 2^40 scan is out of reach; the double-cover repair decides K_40 directly
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--graph6", to_graph6(complete(40)), "--a", "1", "--b", "3", "--max-n", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
+# the parser is built once per process: a run of mixed subcommands, optional flags and
+# exits must print what a fresh process prints for each
+ALTERNATING = [
+    ["check", "--graph6", "F~~{?", "--a", "1", "--b", "3"],
+    ["spectral", "--graph6", "Bw", "--tol", "1e-12"],
+    ["check", "--graph6", "F~~~w", "--a", "1", "--b", "3", "--max-n", "7"],
+    ["factor", "--graph6", "Cl", "--a", "1", "--b", "1"],
+    ["spectral", "--graph6", "Bw"],
+    ["theorem", "--graph6", "F~~~w", "--theorem", "1.8", "--a", "1", "--b", "3"],
+    ["check", "--graph6", "F~~{?", "--a", "1", "--b", "3"],
+    ["construct", "--family", "extremal", "--n", "7", "--a", "1"],
+    ["check", "--graph6", ":Fa@x^", "--a", "1", "--b", "3"],
+    ["theorem", "--graph6", "F~~~w", "--theorem", "1.4", "--a", "1", "--b", "3", "--max-n", "6"],
+]
+
+
+def test_one_process_serves_alternating_subcommands(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = {}
+    for argv in ALTERNATING:
+        if tuple(argv) not in fresh:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from fracdel.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout)
+    for argv in ALTERNATING:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == fresh[tuple(argv)], argv
 
 
 def test_factor_exists(capsys):

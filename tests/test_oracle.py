@@ -22,6 +22,7 @@ from fracdel import (
     parse_graph6,
     theta,
 )
+from fracdel import oracle
 from fracdel.oracle import _alternating_path, _greedy_start
 from helpers import (
     cycle_graph,
@@ -30,6 +31,7 @@ from helpers import (
     has_gf_factor_lovasz,
     has_perfect_matching,
     is_fractional_ab_deleted_by_edges,
+    is_fractional_ab_deleted_by_subsets,
     path_graph,
     star_graph,
 )
@@ -253,6 +255,62 @@ def test_deleted_witness_order_on_planted_graphs(g6, a, b, expected):
 def test_factor_witness_order_on_planted_graphs(g6, lo, hi, expected):
     ok, w = has_fractional_gf_factor(parse_graph6(g6), lo, hi)
     assert not ok and w.to_json() == {**expected, "rule": "factor"}
+
+
+def test_deleted_verdict_and_witness_match_the_subset_criterion():
+    # the public decider answers true by repairing double-cover factors and runs the
+    # subset scan only for a refutation's witness; both must equal the scan alone
+    rng = random.Random(5501)
+    graphs = [(parse_graph6(g6), a, b) for g6, a, b, _ in ORDERING_DELETED]  # planted |S| >= 1
+    for n in range(10, 21):
+        graphs.append((gnp(n, 0.3, rng), 3, 3))  # a vertex of degree <= 3: refuted at S = {}
+        graphs.append((gnp(n, rng.choice([0.85, 0.95]), rng), 1, 3))
+        graphs.append((gnp(n, rng.uniform(0.4, 0.9), rng), rng.randint(1, 3), rng.randint(3, 5)))
+    graphs.append((complete(20), 3, 3))
+    kinds = set()
+    for g, a, b in graphs:
+        got = is_fractional_ab_deleted(g, a, b)
+        assert got == is_fractional_ab_deleted_by_subsets(g, a, b), (g, a, b)
+        kinds.add("true" if got[0] else "empty S" if got[1].s == () else "S nonempty")
+    assert kinds == {"true", "empty S", "S nonempty"}
+
+
+def test_deleted_raises_when_the_subset_scan_finds_no_violation(monkeypatch):
+    # refuted at S = {16}, so the S = {} shortcut does not answer and the scan must
+    g = parse_graph6("PGWXYxYZzuO?T{^ql|RZvbzs")
+    monkeypatch.setattr(oracle, "_subset_decide", lambda *args: (True, None))
+    with pytest.raises(RuntimeError, match="no subset S violates"):
+        is_fractional_ab_deleted(g, 1, 1)
+
+
+def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
+    # a true verdict rests on one [a, b]-factor of the double cover per G - e: F0 for
+    # the edges outside its support, a repaired copy for the rest
+    states = {}  # id of the adjacency list -> (adjacency, out, into) as first raised
+    raise_to_g = oracle._raise_to_g
+
+    def recording(adj, gv, fv, own, other):
+        states.setdefault(id(adj), (adj, own, other))
+        return raise_to_g(adj, gv, fv, own, other)
+
+    monkeypatch.setattr(oracle, "_raise_to_g", recording)
+    rng = random.Random(5503)
+    repairs = 0
+    for n, p, a, b in [(9, None, 1, 3), (12, None, 2, 5), (10, 0.8, 1, 3), (14, 0.85, 2, 4), (16, 0.9, 1, 4)]:
+        g = complete(n) if p is None else gnp(n, p, rng)
+        states.clear()
+        assert is_fractional_ab_deleted(g, a, b) == (True, None), (g, a, b)
+        full = [g.adjacency_mask(v) for v in range(n)]
+        for adj, out, into in states.values():
+            removed = {(u, v) for u in range(n) for v in range(n) if (full[u] ^ adj[u]) >> v & 1}
+            assert all(adj[x] & ~full[x] == 0 for x in range(n))
+            assert len(removed) in (0, 2) and {(v, u) for u, v in removed} == removed  # G or G - e
+            for x in range(n):
+                assert out[x] & ~adj[x] == 0
+                assert into[x] == sum(1 << y for y in range(n) if out[y] >> x & 1)
+                assert a <= out[x].bit_count() <= b and a <= into[x].bit_count() <= b, (g, a, b, removed)
+        repairs += len(states) - 1
+    assert repairs > 20
 
 
 # --- flow certificates ---------------------------------------------------------
