@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import re
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -282,6 +282,10 @@ def is_connected(g: Graph) -> bool:
 # within each 6-bit group, zero-padded at the end. All data bytes are 63..126.
 
 
+_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}  # str.translate table
+_BAD_PAYLOAD_BYTE = re.compile("[^?-~]")  # any character outside 63..126
+
+
 def _pair_index(i: int, j: int) -> int:
     # position of (i, j), i < j, in column-major upper-triangle order
     return j * (j - 1) // 2 + i
@@ -338,22 +342,28 @@ def parse_graph6(line: str) -> Graph:
     if got > need:
         raise Graph6Error(f"expected {need} payload bytes, found {got}", data_start + need)
 
-    edges = []
-    for bi in range(need):
-        c = ord(s[data_start + bi])
-        if not (63 <= c <= 126):
-            raise Graph6Error(f"payload byte {c} out of range 63..126", data_start + bi)
-        val = c - 63
-        if not val:
-            continue
-        for b in range(6):
-            if val & (32 >> b):
-                k = bi * 6 + b
-                if k >= nbits:
-                    raise Graph6Error("padding bits beyond the edge payload are set", data_start + bi)
-                j = (math.isqrt(8 * k + 1) + 1) // 2
-                edges.append((k - j * (j - 1) // 2, j))
-    return Graph(n, edges)
+    payload = s[data_start:]
+    bad = _BAD_PAYLOAD_BYTE.search(payload)
+    if bad:
+        raise Graph6Error(f"payload byte {ord(bad.group())} out of range 63..126", data_start + bad.start())
+    bits = payload.translate(_SIX_BITS)  # one '0'/'1' character per payload bit, in order
+    if "1" in bits[nbits:]:  # the padding lies in the last byte
+        raise Graph6Error("padding bits beyond the edge payload are set", data_start + need - 1)
+    # Reversed, the bits of column j (pairs (0, j) .. (j-1, j)) are one slice whose
+    # last character is pair (0, j), so int(slice, 2) has bit i set for edge (i, j).
+    bits = bits[:nbits][::-1]
+    rows = [0] * n
+    end = nbits
+    for j in range(1, n):
+        col = int(bits[end - j : end], 2)
+        end -= j
+        rows[j] = col
+        jbit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= jbit
+            col ^= low
+    return Graph._from_rows(n, tuple(rows))
 
 
 def to_graph6(g: Graph) -> str:

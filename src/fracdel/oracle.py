@@ -17,8 +17,10 @@ Two routes underlie everything here:
   (``find_fractional_factor``).
 
 ``is_fractional_ab_deleted`` uses both. A true verdict comes from the double
-cover in polynomial time: one factor F0 of G is built, an edge outside its
-support leaves F0 a factor of G - e, and each edge it uses is dropped from a
+cover in polynomial time. One factor F0 of G is built; an edge outside its
+support leaves F0 a factor of G - e. A second factor F1 is built with its
+greedy start steered off F0's support, and covers the edges outside its own
+support the same way. Each edge that both F0 and F1 use is dropped from a
 fresh copy of F0, which alternating paths then repair; every repair succeeds
 exactly when G is deleted. Only a refutation runs the 2^n scan, to report
 the first violating S in (size, lex) order, and the scan must find one.
@@ -327,9 +329,11 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     """Exact test that G - e has a fractional [a, b]-factor for every edge e.
 
     An edgeless graph is vacuously deleted (there is no edge to remove) and
-    returns (True, None). Otherwise a true verdict is decided by repairing
-    one [a, b]-factor of the double cover for each edge it uses, in
-    polynomial time. A false one is reported as (False, witness) with the
+    returns (True, None). Otherwise a true verdict is decided in polynomial
+    time on the double cover: an [a, b]-factor F0, then a second one F1
+    built off F0's support; an edge outside either support needs nothing
+    more, and each edge in both is dropped from a copy of F0 that is then
+    repaired. A false verdict is reported as (False, witness) with the
     first S in (size, lex) order that violates the subset criterion: for
     every S, with the derived T = {v not in S : d_{G-S}(v) <= a},
     theta(S, T) must reach epsilon(S, T). That witness needs the 2^n scan,
@@ -370,21 +374,27 @@ def _subset_deleted(graph: Graph, a: int, b: int):
 # of its side below g, so the first side stays raised while the second is.
 
 
-def _greedy_start(adj: Sequence[int], gv: Sequence[int], fv: Sequence[int]) -> tuple[list[int], list[int]]:
+def _greedy_start(
+    adj: Sequence[int], gv: Sequence[int], fv: Sequence[int], avoid: Sequence[int] | None = None
+) -> tuple[list[int], list[int]]:
     """Give each left vertex up to g lowest-numbered neighbours whose right copy has room,
-    taking right copies still below g first."""
+    taking right copies still below g first, and neighbours in avoid[u], if given, last."""
     n = len(adj)
     out, into = [0] * n, [0] * n
     below = sum(1 << v for v in range(n) if gv[v] > 0)
     room = sum(1 << v for v in range(n) if fv[v] > 0)
     for u in range(n):
+        rest = adj[u]
+        free = rest & ~avoid[u] if avoid else rest
         for _ in range(gv[u]):
-            pick = adj[u] & below & ~out[u] or adj[u] & room & ~out[u]
+            pick = free & below or free & room or rest & below or rest & room
             if not pick:
                 break
             low = pick & -pick
             v = low.bit_length() - 1
             out[u] |= low
+            free &= ~low
+            rest ^= low
             into[v] |= 1 << u
             d = into[v].bit_count()
             if d == gv[v]:
@@ -454,9 +464,9 @@ def _raise_to_g(adj, gv, fv, own: list[int], other: list[int]) -> bool:
     return True
 
 
-def _double_cover_factor(adj, gv, fv) -> tuple[list[int], list[int]] | None:
+def _double_cover_factor(adj, gv, fv, avoid=None) -> tuple[list[int], list[int]] | None:
     """A (g, f)-factor of the double cover as (out, into) masks, or None if there is none."""
-    out, into = _greedy_start(adj, gv, fv)
+    out, into = _greedy_start(adj, gv, fv, avoid)
     if _raise_to_g(adj, gv, fv, out, into) and _raise_to_g(adj, gv, fv, into, out):
         return out, into
     return None
@@ -467,21 +477,31 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
 
     One [a, b]-factor F0 of the double cover is built; if there is none, no
     G - e has one either. An edge uv outside F0's support (neither u -> v'
-    nor v -> u' in F0) leaves F0 a factor of G - uv. For each edge in the
-    support, a fresh copy of F0 loses the edge's arcs, which lowers at most
-    four degrees by one and keeps every degree <= b, and is raised again on
-    the left side and then the right. Raising is exact from any such start,
-    so a failed search means G - uv has no factor.
+    nor v -> u' in F0) leaves F0 a factor of G - uv. A second factor F1 of
+    the same double cover is built with a greedy start that takes arcs off
+    F0's support first, and covers in the same way every edge outside its
+    own support; it exists because F0 does. Only the edges both supports
+    share are left: for each, a fresh copy of F0 loses the edge's arcs,
+    which lowers at most four degrees by one and keeps every degree <= b,
+    and is raised again on the left side and then the right. Raising is
+    exact from any such start, so a failed search means G - uv has no
+    factor.
     """
     n = graph.n
     gv, fv = (a,) * n, (b,) * n
     adj = [graph.adjacency_mask(v) for v in range(n)]
-    start = _double_cover_factor(adj, gv, fv)
-    if start is None:
+    found = _double_cover_factor(adj, gv, fv)
+    if found is None:
         return False
-    out0, into0 = start
+    out0, into0 = found
+    support0 = [out0[u] | into0[u] for u in range(n)]
+    found = _double_cover_factor(adj, gv, fv, avoid=support0)
+    if found is None:
+        raise RuntimeError("the double cover has the [a, b]-factor F0, but the build of F1 found none")
+    out1, into1 = found
     for u in range(n):
-        for v in _bits((out0[u] | into0[u]) >> (u + 1) << (u + 1)):  # support edges uv with v > u
+        both = support0[u] & (out1[u] | into1[u])
+        for v in _bits(both >> (u + 1) << (u + 1)):  # edges uv with v > u that F0 and F1 both use
             adj_e, out, into = adj.copy(), out0.copy(), into0.copy()
             for x, y in ((u, v), (v, u)):
                 adj_e[x] ^= 1 << y

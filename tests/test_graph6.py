@@ -58,6 +58,31 @@ def test_matches_networkx_codec():
         assert {frozenset(e) for e in back.edges()} == {frozenset(e) for e in g.edges()}
 
 
+def _encode(n, edges):
+    """graph6 of (n, edges), written here from the format alone, without Graph."""
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    bits = [0] * (n * (n - 1) // 2 + 5)  # padded up to whole 6-bit groups below
+    for u, v in edges:
+        i, j = min(u, v), max(u, v)
+        bits[j * (j - 1) // 2 + i] = 1
+    groups = [bits[k : k + 6] for k in range(0, n * (n - 1) // 2, 6)]
+    return head + "".join(chr(63 + int("".join(map(str, grp)), 2)) for grp in groups)
+
+
+def test_decode_matches_the_edge_list_constructor():
+    # the decoder builds adjacency rows straight from the payload; they must equal
+    # Graph(n, edges) on every n up to the 4-byte size form
+    rng = random.Random(71)
+    for n in range(1, 71):
+        for p in (0.0, 0.2, 0.5, 1.0):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            line = _encode(n, edges)
+            assert line.startswith("~") == (n > 62)
+            g = parse_graph6(line)
+            assert g == Graph(n, edges) and g.edge_count == len(edges)
+            assert list(g.edges()) == edges
+
+
 @pytest.mark.parametrize("n", [63, 64, 100, 258])
 def test_four_byte_size_form(n):
     g = cycle_graph(n)
@@ -115,6 +140,19 @@ def test_reject_wrong_payload_length():
 def test_reject_bad_payload_byte():
     with pytest.raises(Graph6Error) as ei:
         parse_graph6("B" + chr(127))
+    assert _offset_of(ei) == 1
+
+
+def test_reject_bad_payload_byte_before_set_padding():
+    # the first out-of-range byte is reported, even when the padding is also set
+    with pytest.raises(Graph6Error, match="payload byte 32 out") as ei:
+        parse_graph6("D" + chr(32) + chr(126))
+    assert _offset_of(ei) == 1
+    with pytest.raises(Graph6Error, match="payload byte 233 out") as ei:
+        parse_graph6(">>graph6<<E~" + chr(233) + "?")
+    assert _offset_of(ei) == 12
+    with pytest.raises(Graph6Error, match="payload byte 127 out") as ei:
+        parse_graph6("A" + chr(127))  # out of range and with padding bits set
     assert _offset_of(ei) == 1
 
 

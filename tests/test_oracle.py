@@ -283,24 +283,39 @@ def test_deleted_raises_when_the_subset_scan_finds_no_violation(monkeypatch):
         is_fractional_ab_deleted(g, 1, 1)
 
 
+def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
+    # F1 lives on the same double cover as F0, so a failed build is a bug, never a verdict
+    double_cover_factor = oracle._double_cover_factor
+    monkeypatch.setattr(
+        oracle, "_double_cover_factor", lambda adj, gv, fv, avoid=None: None if avoid else double_cover_factor(adj, gv, fv)
+    )
+    with pytest.raises(RuntimeError, match="build of F1 found none"):
+        is_fractional_ab_deleted(complete(8), 2, 3)
+
+
 def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
     # a true verdict rests on one [a, b]-factor of the double cover per G - e: F0 for
-    # the edges outside its support, a repaired copy for the rest
-    states = {}  # id of the adjacency list -> (adjacency, out, into) as first raised
+    # the edges outside its support, F1 for those outside F1's, a repaired copy of F0
+    # for each edge both use
+    states = {}  # (adjacency list, pair of side lists) ids -> (adjacency, out, into) as first raised
     raise_to_g = oracle._raise_to_g
 
     def recording(adj, gv, fv, own, other):
-        states.setdefault(id(adj), (adj, own, other))
+        states.setdefault((id(adj), frozenset((id(own), id(other)))), (adj, own, other))
         return raise_to_g(adj, gv, fv, own, other)
 
     monkeypatch.setattr(oracle, "_raise_to_g", recording)
-    rng = random.Random(5503)
+    rng = random.Random(5504)
     repairs = 0
-    for n, p, a, b in [(9, None, 1, 3), (12, None, 2, 5), (10, 0.8, 1, 3), (14, 0.85, 2, 4), (16, 0.9, 1, 4)]:
+    for n, p, a, b in [
+        (9, None, 1, 3), (12, None, 2, 5), (10, 0.8, 1, 3), (14, 0.85, 2, 4), (16, 0.9, 1, 4),
+        (16, 0.5, 3, 3), (18, 0.5, 3, 3), (20, 0.5, 4, 4), (18, 0.7, 5, 5),  # a = b: F1 meets F0 more
+    ]:
         g = complete(n) if p is None else gnp(n, p, rng)
         states.clear()
         assert is_fractional_ab_deleted(g, a, b) == (True, None), (g, a, b)
         full = [g.adjacency_mask(v) for v in range(n)]
+        factors, repaired = [], set()
         for adj, out, into in states.values():
             removed = {(u, v) for u in range(n) for v in range(n) if (full[u] ^ adj[u]) >> v & 1}
             assert all(adj[x] & ~full[x] == 0 for x in range(n))
@@ -309,8 +324,63 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
                 assert out[x] & ~adj[x] == 0
                 assert into[x] == sum(1 << y for y in range(n) if out[y] >> x & 1)
                 assert a <= out[x].bit_count() <= b and a <= into[x].bit_count() <= b, (g, a, b, removed)
-        repairs += len(states) - 1
+            if removed:
+                repaired.add(min(removed))
+            else:
+                factors.append(out)
+        assert len(factors) == 2 and len(repaired) == len(states) - 2  # F0, F1, one state per repair
+        # every edge outside supp(F0) or supp(F1) is covered by that factor; exactly the
+        # edges in both supports are repaired
+        both = {(u, v) for u, v in g.edges() if all(out[u] >> v & 1 or out[v] >> u & 1 for out in factors)}
+        assert repaired == both, (g, a, b)
+        repairs += len(repaired)
     assert repairs > 20
+
+
+def test_true_verdicts_take_few_alternating_searches(monkeypatch):
+    # F1 is steered off F0's support, so on K_n only the few edges both factors use
+    # are repaired; a repair for every edge of F0 costs over 50 searches on each
+    calls = []
+    alternating_path = oracle._alternating_path
+
+    def counting(*args):
+        calls.append(args[-1])
+        return alternating_path(*args)
+
+    monkeypatch.setattr(oracle, "_alternating_path", counting)
+    for n, a, b in [(18, 3, 3), (17, 2, 3)]:
+        calls.clear()
+        assert is_fractional_ab_deleted(complete(n), a, b) == (True, None)
+        assert len(calls) <= 16, (n, a, b, len(calls))
+
+
+def test_deleted_agrees_with_per_edge_certificates_where_the_factors_overlap(monkeypatch):
+    # at a = b the second factor cannot always avoid the first one's support, so
+    # repairs run; each verdict must match a certificate search on every G - e
+    overlaps = []
+    double_cover_factor = oracle._double_cover_factor
+
+    def recording(adj, gv, fv, avoid=None):
+        found = double_cover_factor(adj, gv, fv, avoid)
+        if avoid is not None and found is not None:
+            out, into = found
+            overlaps.append(any(avoid[u] & (out[u] | into[u]) for u in range(len(adj))))
+        return found
+
+    monkeypatch.setattr(oracle, "_double_cover_factor", recording)
+    rng = random.Random(5507)
+    seen = []  # (verdict, whether F1 used an edge of F0)
+    for n in range(12, 21):
+        for _ in range(4):
+            a = rng.randint(1, 4)
+            g = gnp(n, rng.uniform(0.35, 0.8), rng)
+            overlaps.clear()
+            got = is_fractional_ab_deleted(g, a, a)[0]
+            per_edge = all(find_fractional_factor(delete_edge(g, u, v), a, a) is not None for u, v in g.edges())
+            assert got == per_edge, (g, a)
+            seen.append((got, any(overlaps)))
+    # true verdicts after repairs, refutations by a failed repair and by no F0 at all
+    assert seen.count((True, True)) >= 20 and (False, True) in seen and (False, False) in seen
 
 
 # --- flow certificates ---------------------------------------------------------
