@@ -35,6 +35,7 @@ from .oracle import (
 )
 from .spectral import (
     DEFAULT_TOL,
+    MATRIX_GUARD,
     ConvergenceError,
     EigenResult,
     SpectralSummary,

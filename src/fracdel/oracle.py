@@ -16,14 +16,16 @@ Two routes underlie everything here:
   arithmetic, or None with a Hall-type proof behind it
   (``find_fractional_factor``).
 
-``is_fractional_ab_deleted`` uses both. A true verdict comes from the double
-cover in polynomial time. One factor F0 of G is built; an edge outside its
-support leaves F0 a factor of G - e. A second factor F1 is built with its
-greedy start steered off F0's support, and covers the edges outside its own
-support the same way. Each edge that both F0 and F1 use is dropped from a
-fresh copy of F0, which alternating paths then repair; every repair succeeds
-exactly when G is deleted. Only a refutation runs the 2^n scan, to report
-the first violating S in (size, lex) order, and the scan must find one.
+``is_fractional_ab_deleted`` uses both. A vertex of degree <= a refutes G
+at S = {} before anything is built. Otherwise a true verdict comes from the
+double cover in polynomial time. One factor F0 of G is built; an edge
+outside its support leaves F0 a factor of G - e. A second factor F1 is built
+with its greedy start steered off F0's support, and covers the edges outside
+its own support the same way. Each edge that both F0 and F1 use is dropped
+from a fresh copy of whichever of them holds fewer of its two arcs, which
+alternating paths then repair; every repair succeeds exactly when G is
+deleted. Only a refutation past that runs the 2^n scan, to report the first
+violating S in (size, lex) order, and the scan must find one.
 
 The test suite compares these against the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
@@ -329,24 +331,31 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     """Exact test that G - e has a fractional [a, b]-factor for every edge e.
 
     An edgeless graph is vacuously deleted (there is no edge to remove) and
-    returns (True, None). Otherwise a true verdict is decided in polynomial
+    returns (True, None). A false verdict is reported as (False, witness)
+    with the first S in (size, lex) order that violates the subset
+    criterion: for every S, with the derived T = {v not in S :
+    d_{G-S}(v) <= a}, theta(S, T) must reach epsilon(S, T). When the minimum
+    degree is <= a, S = {} violates it (T is nonempty and theta(S, T) is
+    <= 0, or < 0 when every T-vertex is isolated) and is reported before
+    any factor is built. Otherwise a true verdict is decided in polynomial
     time on the double cover: an [a, b]-factor F0, then a second one F1
     built off F0's support; an edge outside either support needs nothing
-    more, and each edge in both is dropped from a copy of F0 that is then
-    repaired. A false verdict is reported as (False, witness) with the
-    first S in (size, lex) order that violates the subset criterion: for
-    every S, with the derived T = {v not in S : d_{G-S}(v) <= a},
-    theta(S, T) must reach epsilon(S, T). That witness needs the 2^n scan,
-    unless S = {} already violates. The size guard applies to both verdicts.
+    more, and each edge in both is dropped from a copy of F0 or F1 that is
+    then repaired. A refutation found there needs the 2^n scan for its
+    witness. The size guard applies to both verdicts.
     """
     _validate_ab(a, b)
     _require_vertices(graph)
     _check_subset_guard(graph.n, max_n)
-    if graph.edge_count == 0 or _deleted_by_repair(graph, a, b):
+    if graph.edge_count == 0:
         return True, None
-    at_empty = deficiency_witness(graph, (), a, b)
-    if not at_empty.satisfied:
+    if graph.min_degree() <= a:
+        at_empty = deficiency_witness(graph, (), a, b)
+        if at_empty.satisfied:
+            raise RuntimeError(f"minimum degree {graph.min_degree()} <= a = {a}, but S = {{}} satisfies the criterion")
         return False, at_empty
+    if _deleted_by_repair(graph, a, b):
+        return True, None
     verdict, witness = _subset_deleted(graph, a, b)
     if verdict:
         raise RuntimeError("the double cover refutes the graph, but no subset S violates the criterion")
@@ -420,13 +429,19 @@ def _alternating_path(adj, gv, fv, own, other, root: int) -> list[int] | None:
     for x in queue:
         step = adj[x] & ~own[x] & ~seen_other
         seen_other |= step
-        for y in _bits(step):
+        while step:
+            y_bit = step & -step
+            step ^= y_bit
+            y = y_bit.bit_length() - 1
             came_by_free[y] = x
             if other[y].bit_count() < fv[y]:
                 return _unwind([y], came_by_free, came_by_f, root)
             back = other[y] & ~seen_own
             seen_own |= back
-            for x2 in _bits(back):
+            while back:
+                x2_bit = back & -back
+                back ^= x2_bit
+                x2 = x2_bit.bit_length() - 1
                 came_by_f[x2] = y
                 if own[x2].bit_count() > gv[x2]:
                     return _unwind([x2, y], came_by_free, came_by_f, root)
@@ -481,11 +496,11 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     the same double cover is built with a greedy start that takes arcs off
     F0's support first, and covers in the same way every edge outside its
     own support; it exists because F0 does. Only the edges both supports
-    share are left: for each, a fresh copy of F0 loses the edge's arcs,
-    which lowers at most four degrees by one and keeps every degree <= b,
-    and is raised again on the left side and then the right. Raising is
-    exact from any such start, so a failed search means G - uv has no
-    factor.
+    share are left: for each, a fresh copy of whichever of F0 and F1 holds
+    fewer of the edge's two arcs (F0 on a tie) loses them, which lowers two
+    degrees by one per arc dropped and keeps every degree <= b, and is
+    raised again on the left side and then the right. Raising is exact from
+    any such start, so a failed search means G - uv has no factor.
     """
     n = graph.n
     gv, fv = (a,) * n, (b,) * n
@@ -502,7 +517,9 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     for u in range(n):
         both = support0[u] & (out1[u] | into1[u])
         for v in _bits(both >> (u + 1) << (u + 1)):  # edges uv with v > u that F0 and F1 both use
-            adj_e, out, into = adj.copy(), out0.copy(), into0.copy()
+            fewer_in_f1 = (out1[u] >> v & 1) + (out1[v] >> u & 1) < (out0[u] >> v & 1) + (out0[v] >> u & 1)
+            out, into = (out1, into1) if fewer_in_f1 else (out0, into0)
+            adj_e, out, into = adj.copy(), out.copy(), into.copy()
             for x, y in ((u, v), (v, u)):
                 adj_e[x] ^= 1 << y
                 out[x] &= ~(1 << y)

@@ -12,6 +12,7 @@ from .graph import Graph, is_connected
 
 __all__ = [
     "DEFAULT_TOL",
+    "MATRIX_GUARD",
     "ConvergenceError",
     "EigenResult",
     "SpectralSummary",
@@ -28,6 +29,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_SWEEPS = 100
+MATRIX_GUARD = 4096  # largest n given a dense n x n matrix: one float64 matrix is then 128 MiB
 
 
 class ConvergenceError(RuntimeError):
@@ -59,6 +61,9 @@ class SpectralSummary:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The dense adjacency matrix; ValueError above MATRIX_GUARD vertices, before any allocation."""
+    if g.n > MATRIX_GUARD:
+        raise ValueError(f"n={g.n} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices")
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0

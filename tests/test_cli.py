@@ -10,10 +10,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracdel.theorems
-from fracdel import ConvergenceError, complete, extremal, parse_graph6, scan, summarize, to_graph6
+from fracdel import MATRIX_GUARD, ConvergenceError, Graph, complete, extremal, parse_graph6, scan, summarize, to_graph6
 from fracdel.cli import main
 from helpers import cycle_graph, path_graph, star_graph
 
@@ -299,6 +300,25 @@ def test_scan_max_n_past_the_mask_width_skips_the_oracle(capsys, monkeypatch):
     assert [r[3] for r in rows] == ["true", "skipped(size-guard)", "true"]
     summary = json.loads(out.splitlines()[-1])
     assert summary["graphs"] == 3 and summary["oracle_skipped"] == 1
+
+
+def test_a_graph_past_the_matrix_guard_is_an_error_row_or_exit_2(capsys, monkeypatch):
+    line = to_graph6(Graph(MATRIX_GUARD + 1))  # about 1.4 MB of graph6
+    zeros = np.zeros
+
+    def no_large_matrix(shape, *args, **kwargs):  # one 4097 x 4097 float64 matrix is 128 MiB
+        assert np.prod(shape) <= MATRIX_GUARD**2, shape
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_large_matrix)
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "scan", "--theorem", "1.4", "--a", "1", "--b", "3")
+    assert code == 0 and out.splitlines()[1].split("\t") == ["1", "1.4"] + ["NA"] * 7
+    assert json.loads(out.splitlines()[-1])["errors"] == 1
+    assert err == "line 1: n=4097 exceeds the 4096-vertex limit of the dense spectral matrices\n"
+    for argv in (["spectral"], ["theorem", "--theorem", "1.8", "--a", "1", "--b", "3"]):
+        code, out, err = run(capsys, *argv, "--graph6", line)
+        assert code == 2 and out == "" and "4096-vertex limit" in err
 
 
 def _scan_peak_bytes(path, lines: int) -> int:

@@ -19,6 +19,7 @@ from fracdel import (
     find_fractional_factor,
     has_fractional_gf_factor,
     is_fractional_ab_deleted,
+    join,
     parse_graph6,
     theta,
 )
@@ -296,7 +297,7 @@ def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
 def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
     # a true verdict rests on one [a, b]-factor of the double cover per G - e: F0 for
     # the edges outside its support, F1 for those outside F1's, a repaired copy of F0
-    # for each edge both use
+    # or of F1 for each edge both use
     states = {}  # (adjacency list, pair of side lists) ids -> (adjacency, out, into) as first raised
     raise_to_g = oracle._raise_to_g
 
@@ -352,35 +353,86 @@ def test_true_verdicts_take_few_alternating_searches(monkeypatch):
         calls.clear()
         assert is_fractional_ab_deleted(complete(n), a, b) == (True, None)
         assert len(calls) <= 16, (n, a, b, len(calls))
+    # at a = b the supports overlap on random graphs and repairs dominate: each one
+    # starts from the factor holding fewer of the edge's arcs, and a vertex of degree
+    # <= a refutes before any factor is built. These twelve draws take 205 searches
+    # (9 deleted); repairing from F0 alone takes 244 on the deleted ones, and building
+    # factors for the refuted ones another 46
+    rng = random.Random(5508)
+    graphs = [gnp(16, 0.5, rng) for _ in range(12)]
+    calls.clear()
+    verdicts = [is_fractional_ab_deleted(g, 3, 3)[0] for g in graphs]
+    assert verdicts.count(True) == 9 and len(calls) <= 220, len(calls)
+
+
+def test_min_degree_at_most_a_refutes_before_any_factor_is_built(monkeypatch):
+    # S = {} violates whenever some vertex has degree <= a, and it is first in (size,
+    # lex) order, so neither a factor nor the subset scan is needed for the witness
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a double-cover factor was built")
+
+    monkeypatch.setattr(oracle, "_double_cover_factor", no_factor)
+    monkeypatch.setattr(oracle, "_subset_decide", no_factor)
+    rng = random.Random(5509)
+    refuted = 0
+    for _ in range(300):
+        g = gnp(rng.randint(1, 16), rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
+        a = rng.randint(1, 4)
+        b = a + rng.randint(0, 2)
+        if g.edge_count and g.min_degree() <= a:
+            refuted += 1
+            assert is_fractional_ab_deleted(g, a, b) == (False, deficiency_witness(g, (), a, b)), (g, a, b)
+    assert refuted > 150
+    assert is_fractional_ab_deleted(Graph(5), 2, 3) == (True, None)
+    # when every T-vertex is isolated, epsilon is 0 and theta = -a|T| < 0
+    ok, w = is_fractional_ab_deleted(disjoint_union(complete(4), Graph(1)), 1, 1)
+    assert not ok and (w.s, w.t, w.theta, w.epsilon) == ((), (4,), -1, 0)
+
+
+def test_deleted_raises_when_the_empty_set_witness_holds(monkeypatch):
+    satisfied = oracle.DeficiencyWitness((), (), 0, 0, rule="deleted", satisfied=True)
+    monkeypatch.setattr(oracle, "deficiency_witness", lambda *args: satisfied)
+    with pytest.raises(RuntimeError, match="S = {} satisfies"):
+        is_fractional_ab_deleted(path_graph(4), 1, 3)
 
 
 def test_deleted_agrees_with_per_edge_certificates_where_the_factors_overlap(monkeypatch):
     # at a = b the second factor cannot always avoid the first one's support, so
     # repairs run; each verdict must match a certificate search on every G - e
-    overlaps = []
+    builds = []  # per double-cover build: (whether it was F1, whether it found a factor, whether it met supp(F0))
     double_cover_factor = oracle._double_cover_factor
 
     def recording(adj, gv, fv, avoid=None):
         found = double_cover_factor(adj, gv, fv, avoid)
-        if avoid is not None and found is not None:
-            out, into = found
-            overlaps.append(any(avoid[u] & (out[u] | into[u]) for u in range(len(adj))))
+        meets = avoid is not None and found is not None and any(a & (o | i) for a, o, i in zip(avoid, *found))
+        builds.append((avoid is not None, found is not None, meets))
         return found
 
     monkeypatch.setattr(oracle, "_double_cover_factor", recording)
     rng = random.Random(5507)
-    seen = []  # (verdict, whether F1 used an edge of F0)
+    cases = []
     for n in range(12, 21):
         for _ in range(4):
             a = rng.randint(1, 4)
-            g = gnp(n, rng.uniform(0.35, 0.8), rng)
-            overlaps.clear()
-            got = is_fractional_ab_deleted(g, a, a)[0]
-            per_edge = all(find_fractional_factor(delete_edge(g, u, v), a, a) is not None for u, v in g.edges())
-            assert got == per_edge, (g, a)
-            seen.append((got, any(overlaps)))
-    # true verdicts after repairs, refutations by a failed repair and by no F0 at all
-    assert seen.count((True, True)) >= 20 and (False, True) in seen and (False, False) in seen
+            cases.append((gnp(n, rng.uniform(0.35, 0.8), rng), a))
+    # a vertex of degree <= a refutes before any factor is built, and these draws with
+    # min degree > a are all deleted, so both refutations past the degree test are
+    # planted: min degree 2 > a = 1 on each, a repair fails on the first, K_{2,5} has no F0
+    cases += [(parse_graph6("PGWXYxYZzuO?T{^ql|RZvbzs"), 1), (join(Graph(2), Graph(5)), 1)]
+    kinds = []
+    for g, a in cases:
+        builds.clear()
+        got = is_fractional_ab_deleted(g, a, a)[0]
+        overlap = any(meets for _, _, meets in builds)
+        kinds.append(
+            "true after repairs" if got and overlap
+            else "failed repair" if not got and overlap
+            else "no F0" if not got and builds == [(False, False, False)]
+            else "other"
+        )
+        per_edge = all(find_fractional_factor(delete_edge(g, u, v), a, a) is not None for u, v in g.edges())
+        assert got == per_edge, (g, a)
+    assert kinds.count("true after repairs") >= 20 and "failed repair" in kinds and "no F0" in kinds, kinds
 
 
 # --- flow certificates ---------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracdel import (
+    MATRIX_GUARD,
     ConvergenceError,
     Graph,
     adjacency_matrix,
@@ -31,6 +33,19 @@ def test_matrices():
     assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     q = signless_laplacian_matrix(g)
     assert q.tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+
+
+def test_dense_matrices_are_refused_above_the_guard():
+    g = Graph(MATRIX_GUARD + 1)  # edgeless, so the graph itself is small
+    tracemalloc.start()
+    try:
+        for compute in (adjacency_matrix, signless_laplacian_matrix, spectral_radius, spectral_summary):
+            with pytest.raises(ValueError, match="4096-vertex limit"):
+                compute(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # one 4097 x 4097 float64 matrix is 128 MiB
 
 
 def test_eigen_planted_spectrum():
