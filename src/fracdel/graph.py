@@ -53,7 +53,7 @@ class Graph:
     impossible by construction and self-loops are rejected.
     """
 
-    __slots__ = ("n", "_rows", "_edge_count")
+    __slots__ = ("n", "_rows", "_edge_count", "_spectra")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 0:
@@ -70,6 +70,7 @@ class Graph:
         self.n = n
         self._rows = tuple(rows)
         self._edge_count = sum(r.bit_count() for r in rows) // 2
+        self._spectra = None  # the last spectral.spectral_summary of this object
 
     @classmethod
     def _from_rows(cls, n: int, rows: tuple[int, ...]) -> "Graph":
@@ -78,6 +79,7 @@ class Graph:
         g.n = n
         g._rows = rows
         g._edge_count = sum(r.bit_count() for r in rows) // 2
+        g._spectra = None
         return g
 
     @property
@@ -291,15 +293,11 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line into a Graph.
+def _graph6_size(s: str) -> tuple[int, int]:
+    """(n, offset of the first payload byte) from the header and size field of a graph6 line.
 
-    Accepts an optional ``>>graph6<<`` header and a trailing newline.
-    Rejects sparse6 and digraph6 inputs, n = 0, payloads of the wrong
-    length, data bytes outside 63..126, and set padding bits; every
-    rejection carries the byte offset of the offending position.
+    ``s`` carries no trailing newline. Raises Graph6Error as ``parse_graph6`` does.
     """
-    s = line.rstrip("\r\n")
     pos = 0
     if s.startswith(GRAPH6_HEADER):
         pos = len(GRAPH6_HEADER)
@@ -333,6 +331,19 @@ def parse_graph6(line: str) -> Graph:
 
     if n == 0:
         raise Graph6Error("graph6 string encodes n=0; need n >= 1", pos)
+    return n, data_start
+
+
+def parse_graph6(line: str) -> Graph:
+    """Decode one graph6 line into a Graph.
+
+    Accepts an optional ``>>graph6<<`` header and a trailing newline.
+    Rejects sparse6 and digraph6 inputs, n = 0, payloads of the wrong
+    length, data bytes outside 63..126, and set padding bits; every
+    rejection carries the byte offset of the offending position.
+    """
+    s = line.rstrip("\r\n")
+    n, data_start = _graph6_size(s)
 
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6

@@ -542,8 +542,17 @@ def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    found = _double_cover_factor([graph.adjacency_mask(v) for v in range(graph.n)], gv, fv)
+    found = _double_cover_factor(graph._rows, gv, fv)
     if found is None:
         return None
-    out, _ = found
-    return FractionalAssignment({(u, v): (out[u] >> v & 1) + (out[v] >> u & 1) for u, v in graph.edges()})
+    out, into = found
+    halves = {}
+    for u, row in enumerate(graph._rows):
+        # arc v -> u' is bit v of into[u], so h(uv) counts u -> v' and v -> u' from row u alone
+        both, either = out[u] & into[u], out[u] | into[u]
+        row &= -2 << u  # neighbours above u, in increasing order
+        while row:
+            low = row & -row
+            halves[u, low.bit_length() - 1] = 2 if both & low else 1 if either & low else 0
+            row ^= low
+    return FractionalAssignment(halves)

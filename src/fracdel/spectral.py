@@ -1,4 +1,11 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and spectral bounds for graphs."""
+"""Dense symmetric eigensolver (cyclic Jacobi) and spectral bounds for graphs.
+
+``spectral_summary`` solves rho and q of a graph once per Graph object and
+tol: the result is kept on the graph itself and returned by later calls with
+the same tol, so evaluating several conditions on one graph pays one pair of
+solves. A failed solve is not kept. ``spectral_radius`` and
+``signless_laplacian_radius`` always solve.
+"""
 
 from __future__ import annotations
 
@@ -60,10 +67,15 @@ class SpectralSummary:
     tol: float
 
 
+def _check_matrix_guard(n: int) -> None:
+    """ValueError when an n-vertex graph is past MATRIX_GUARD."""
+    if n > MATRIX_GUARD:
+        raise ValueError(f"n={n} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices")
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """The dense adjacency matrix; ValueError above MATRIX_GUARD vertices, before any allocation."""
-    if g.n > MATRIX_GUARD:
-        raise ValueError(f"n={g.n} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices")
+    _check_matrix_guard(g.n)
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
@@ -163,11 +175,21 @@ def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
 
 
 def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralSummary:
+    """ρ(G) and q(G), solved on the first call for this Graph object and tol.
+
+    The summary is kept on ``g`` (one per graph, replaced by a call with
+    another tol) and returned as is by later calls with the same tol. A call
+    that raises keeps nothing, so the next one solves again.
+    """
+    kept = g._spectra
+    if kept is not None and kept.tol == tol:
+        return kept
     if g.n < 1:
         raise ValueError("spectral_summary requires n >= 1")
     ra = eigen_max_symmetric(adjacency_matrix(g), tol)
     rq = eigen_max_symmetric(signless_laplacian_matrix(g), tol)
-    return SpectralSummary(rho=ra.value, q=rq.value, residual=max(ra.residual, rq.residual), tol=tol)
+    g._spectra = SpectralSummary(rho=ra.value, q=rq.value, residual=max(ra.residual, rq.residual), tol=tol)
+    return g._spectra
 
 
 def hsf_bound_at(e: int, n: int, x: float) -> float:

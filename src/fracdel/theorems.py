@@ -23,9 +23,9 @@ from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, Graph6Error, extremal, is_connected, parse_graph6
+from .graph import Graph, Graph6Error, _graph6_size, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
-from .spectral import ConvergenceError, spectral_summary
+from .spectral import ConvergenceError, _check_matrix_guard, spectral_summary
 
 __all__ = [
     "THEOREM_IDS",
@@ -304,7 +304,8 @@ def scan(
 
     Malformed lines and eigensolver failures become error records and
     scanning continues; blank lines are skipped. Records come out in input
-    order.
+    order. A line whose size field is past the dense-matrix ceiling
+    (``spectral.MATRIX_GUARD``) is refused before its payload is decoded.
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
@@ -314,6 +315,7 @@ def scan(
         if not text:
             continue
         try:
+            _check_matrix_guard(_graph6_size(text)[0])  # every condition needs rho and q
             graph = parse_graph6(text)
             report = eval_theorem(graph, theorem_id, a, b, max_n=max_n)
         except (Graph6Error, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded random graphs and brute-force oracles.
+"""Shared test helpers: seeded random graphs, brute-force oracles and a solve counter.
 
 The cross-check oracles here (the per-edge definition of "deleted", the
 subset criterion alone, the lower-bound flow network for fractional factors
@@ -13,6 +13,7 @@ import random
 from itertools import combinations
 from typing import Sequence
 
+import fracdel.spectral
 from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected
 from fracdel.graph import _bits
 from fracdel.maxflow import feasible_flow
@@ -30,6 +31,19 @@ PAIR_GUARD = 12  # 3^n (S, T) pair enumeration refused above this without an ove
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def count_solves(monkeypatch) -> list[int]:
+    """The order of every matrix ``spectral_summary`` hands the eigensolver from now on, one entry a solve."""
+    solves = []
+    real = fracdel.spectral.eigen_max_symmetric
+
+    def counted(m, *args, **kwargs):
+        solves.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(fracdel.spectral, "eigen_max_symmetric", counted)
+    return solves
 
 
 def random_connected(n: int, p: float, rng: random.Random) -> Graph:

@@ -493,6 +493,39 @@ def test_flow_certificate_agrees_with_the_lower_bound_network():
     assert 300 < infeasible < 2700
 
 
+def test_certificate_weights_are_read_off_the_factor_masks(monkeypatch):
+    built = []
+    real = oracle._double_cover_factor
+
+    def recorded(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "_double_cover_factor", recorded)
+    rng = random.Random(4411)
+    cases = []
+    for _ in range(600):
+        g = gnp(rng.randint(1, 24), rng.choice([0.0, 0.2, 0.5, 0.8, 1.0]), rng)
+        cases.append((g, *_random_bounds(g, rng)))
+    for _ in range(3):
+        g = gnp(32, 0.5, rng)
+        cases += [(delete_edge(g, u, v), 1, 3) for u, v in g.edges()]
+    found = 0
+    weights = set()
+    for g, lo, hi in cases:
+        built.clear()
+        fa = find_fractional_factor(g, lo, hi)
+        assert len(built) == 1 and (fa is None) == (built[0] is None)
+        if fa is None:
+            continue
+        out, _ = built[0]
+        assert list(fa.halves.items()) == [((u, v), (out[u] >> v & 1) + (out[v] >> u & 1)) for u, v in g.edges()]
+        assert fa.satisfies(g, lo, hi)
+        found += 1
+        weights |= set(fa.halves.values())
+    assert found > 900 and weights == {0, 1, 2}
+
+
 def test_flow_certificate_repairs_a_greedy_deficit_with_a_long_path():
     # the path 3-0-2-1 with g = f = 1: greedy gives left 0 its lowest neighbour 2',
     # which leaves left 1 (whose only neighbour is 2') with nothing

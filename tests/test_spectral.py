@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fracdel.spectral
 from fracdel import (
     MATRIX_GUARD,
     ConvergenceError,
@@ -14,17 +15,23 @@ from fracdel import (
     adjacency_matrix,
     complete,
     delete_edge,
+    delete_vertices,
     disjoint_union,
     eigen_max_symmetric,
+    extremal,
     feng_yu_bound,
     hsf_bound,
     hsf_bound_at,
+    join,
+    parse_edge_list,
+    parse_graph6,
     signless_laplacian_matrix,
     signless_laplacian_radius,
     spectral_radius,
     spectral_summary,
+    to_graph6,
 )
-from helpers import cycle_graph, gnp, path_graph, random_connected, star_graph
+from helpers import count_solves, cycle_graph, gnp, path_graph, random_connected, star_graph
 
 
 def test_matrices():
@@ -202,3 +209,65 @@ def test_feng_yu_bound():
         feng_yu_bound(disjoint_union(complete(2), complete(2)))
     with pytest.raises(ValueError):
         feng_yu_bound(Graph(1))
+
+
+def test_spectral_summary_solves_once_per_graph_object_and_tol(monkeypatch):
+    solves = count_solves(monkeypatch)
+    g = gnp(12, 0.5, random.Random(3))
+    first = spectral_summary(g)
+    assert len(solves) == 2 and first.tol == 1e-10
+    assert spectral_summary(g) is first and spectral_summary(g, 1e-10) is first
+    assert len(solves) == 2
+
+    loose = spectral_summary(g, 1e-6)  # another tol solves again and reports its own tol
+    assert len(solves) == 4 and loose.tol == 1e-6 and loose.residual <= 1e-6
+    assert abs(loose.rho - first.rho) <= 1e-6 and abs(loose.q - first.q) <= 1e-6
+    assert spectral_summary(g, 1e-6) is loose and len(solves) == 4
+    again = spectral_summary(g)  # the kept summary is now the 1e-6 one
+    assert len(solves) == 6 and again.tol == 1e-10 and again == first
+
+    twin = Graph(g.n, g.edges())  # equal, but another object
+    assert twin == g and hash(twin) == hash(g) and twin is not g
+    assert spectral_summary(twin) == first and len(solves) == 8
+    assert spectral_summary(twin) is spectral_summary(twin) and len(solves) == 8
+
+
+def test_a_failed_spectral_summary_is_not_kept(monkeypatch):
+    g = complete(6)
+    real = fracdel.spectral.eigen_max_symmetric
+
+    def fails_on_q(m, *args, **kwargs):
+        if m[0, 0] != 0.0:  # the signless Laplacian has the degrees on its diagonal
+            raise ConvergenceError("no convergence within 0 sweeps", 1.0)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(fracdel.spectral, "eigen_max_symmetric", fails_on_q)
+    with pytest.raises(ConvergenceError):
+        spectral_summary(g)
+    assert g._spectra is None
+    monkeypatch.setattr(fracdel.spectral, "eigen_max_symmetric", real)
+    solves = count_solves(monkeypatch)
+    assert abs(spectral_summary(g).rho - 5.0) <= 1e-9 and len(solves) == 2
+    for bad in (Graph(0), Graph(MATRIX_GUARD + 1)):
+        with pytest.raises(ValueError):
+            spectral_summary(bad)
+        assert bad._spectra is None
+
+
+def test_every_construction_path_starts_without_spectra():
+    base = complete(5)
+    spectral_summary(base)
+    assert base._spectra is not None
+    built = [
+        Graph(4, [(0, 1), (2, 3)]),
+        complete(4),
+        join(base, base),
+        disjoint_union(base, base),
+        extremal(8, 2),
+        delete_edge(base, 0, 1),
+        delete_vertices(base, [0])[0],
+        parse_graph6(to_graph6(base)),
+        parse_edge_list("3 0 1 1 2"),
+    ]
+    assert all(g._spectra is None for g in built)
+    assert built[7] == base  # equal to a graph with a kept summary, yet starts empty

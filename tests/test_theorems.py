@@ -8,7 +8,10 @@ import pytest
 
 import fracdel.theorems
 from fracdel import (
+    MATRIX_GUARD,
+    Graph,
     SharpnessError,
+    adjacency_matrix,
     complete,
     delete_edge,
     disjoint_union,
@@ -18,11 +21,12 @@ from fracdel import (
     graphs_with_min_edges,
     scan,
     spectral_summary,
+    parse_graph6,
     summarize,
     to_graph6,
     verify_sharpness,
 )
-from helpers import cycle_graph, gnp, path_graph
+from helpers import count_solves, cycle_graph, gnp, path_graph
 
 
 def test_report_on_complete_graph():
@@ -108,6 +112,17 @@ def test_report_json_shape_and_determinism():
 
 
 # --- sharpness ----------------------------------------------------------------
+
+
+def test_two_conditions_on_one_graph_share_one_pair_of_solves(monkeypatch):
+    solves = count_solves(monkeypatch)
+    g = parse_graph6(to_graph6(gnp(32, 0.5, random.Random(8))))
+    reports = [eval_theorem(g, tid, 1, 3) for tid in ("1.4", "1.6")]
+    assert solves == [32, 32]  # rho and q, once
+    summary = spectral_summary(g)
+    assert len(solves) == 2
+    assert [r.hypothesis_values["rho"] for r in reports] == [summary.rho] * 2
+    assert [r.hypothesis_values["q"] for r in reports] == [summary.q] * 2
 
 
 def test_verify_sharpness_passes():
@@ -208,6 +223,31 @@ def test_scan_stream_and_summary():
     }
     err_json = records[2].to_json()
     assert err_json["id"] == 4 and "error" in err_json
+
+
+def _graph6_head(n: int) -> str:
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+
+
+def test_scan_refuses_a_line_past_the_matrix_guard_before_decoding_it(monkeypatch):
+    n = MATRIX_GUARD + 1
+    edgeless = _graph6_head(n) + "?" * ((n * (n - 1) // 2 + 5) // 6)  # a valid line, about 1.4 MB
+    truncated = _graph6_head(n) + "??"  # its payload is far too short
+    small = to_graph6(complete(7))
+    decoded = []
+    real = fracdel.theorems.parse_graph6
+
+    def parse(line):
+        decoded.append(line)
+        return real(line)
+
+    monkeypatch.setattr(fracdel.theorems, "parse_graph6", parse)
+    records = list(scan([small, edgeless, truncated, small], "1.8", 1, 3))
+    assert decoded == [small, small]
+    with pytest.raises(ValueError) as ceiling:
+        adjacency_matrix(Graph(n))
+    assert [r.error for r in records] == [None, str(ceiling.value), str(ceiling.value), None]
+    assert parse_graph6(edgeless).n == n  # the line itself decodes
 
 
 def test_scan_records_are_deterministic():
