@@ -16,9 +16,9 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from .graph import Graph, Graph6Error, complete, extremal, is_connected, parse_graph6, to_graph6
+from .graph import Graph, Graph6Error, _graph6_size, complete, extremal, is_connected, parse_graph6, to_graph6
 from .oracle import SizeGuardError, find_fractional_factor, is_fractional_ab_deleted
-from .spectral import DEFAULT_TOL, ConvergenceError, feng_yu_bound, hsf_bound, spectral_summary
+from .spectral import DEFAULT_TOL, ConvergenceError, _check_matrix_guard, feng_yu_bound, hsf_bound, spectral_summary
 from .theorems import (
     THEOREM_IDS,
     SharpnessError,
@@ -75,14 +75,26 @@ def _input_lines(args) -> Iterator[Iterable[str]]:
         yield sys.stdin
 
 
-def _read_one_graph(args) -> Graph:
+def _read_one_line(args) -> str:
     if getattr(args, "graph6", None) is not None:
-        return parse_graph6(args.graph6)  # verbatim: only stream lines are stripped
+        return args.graph6  # verbatim: only stream lines are stripped
     with _input_lines(args) as lines:
         for line in lines:
             if line.strip():
-                return parse_graph6(line.strip())
+                return line.strip()
     raise ValueError("no input graph: expected one graph6 line")
+
+
+def _read_one_graph(args) -> Graph:
+    return parse_graph6(_read_one_line(args))
+
+
+def _read_one_dense_graph(args) -> Graph:
+    """The input graph for a command that needs rho and q: a line past the spectral
+    ceiling is refused from its size field, before its payload is decoded."""
+    line = _read_one_line(args)
+    _check_matrix_guard(_graph6_size(line.rstrip("\r\n"))[0])
+    return parse_graph6(line)
 
 
 def _add_graph_input(parser: argparse.ArgumentParser) -> None:
@@ -103,7 +115,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    graph = _read_one_graph(args)
+    graph = _read_one_dense_graph(args)
     summary = spectral_summary(graph, args.tol)
     fy = feng_yu_bound(graph) if graph.n >= 2 and is_connected(graph) else None
     _emit(
@@ -148,7 +160,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    graph = _read_one_graph(args)
+    graph = _read_one_dense_graph(args)
     report = eval_theorem(graph, args.theorem, args.a, args.b, max_n=args.max_n)
     _emit(report.to_json())
     return 0 if report.consistent else 1

@@ -14,7 +14,9 @@ Two routes underlie everything here:
   found by greedy matching and alternating paths on the adjacency bitmasks,
   giving half-integral edge weights that can be rechecked in exact
   arithmetic, or None with a Hall-type proof behind it
-  (``find_fractional_factor``).
+  (``find_fractional_factor``). The certificate, a ``FractionalAssignment``,
+  is that factor's arc masks: a weight is read from two bits, and the exact
+  check is a mask comparison and popcounts, with no per-edge table.
 
 ``is_fractional_ab_deleted`` uses both. A vertex of degree <= a refutes G
 at S = {} before anything is built. Otherwise a true verdict comes from the
@@ -91,41 +93,64 @@ class DeficiencyWitness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FractionalAssignment:
-    """Half-integral edge weights, stored as numerators over denominator 2.
+    """Half-integral edge weights, held as a factor F of the bipartite double cover.
 
-    ``halves`` maps every edge (u, v) with u < v to a numerator in {0, 1, 2},
-    so all arithmetic on weights stays exact.
+    ``rows`` are the graph's adjacency masks and ``out`` the left-side arc
+    masks of F: bit v of ``out[u]`` is the arc u -> v'. The weight of an
+    edge uv is h(uv) / 2 with h(uv) = [u -> v' in F] + [v -> u' in F], a
+    numerator in {0, 1, 2}, so all arithmetic on weights stays exact.
+    Equality compares (rows, out).
     """
 
-    halves: dict[tuple[int, int], int]
+    rows: tuple[int, ...]
+    out: tuple[int, ...]
+
+    @property
+    def halves(self) -> dict[tuple[int, int], int]:
+        """h(uv) for every edge (u, v) with u < v, in lexicographic order; built on each access."""
+        out = self.out
+        halves = {}
+        for u, row in enumerate(self.rows):
+            out_u = out[u]
+            row &= -2 << u  # neighbours above u, in increasing order
+            while row:
+                low = row & -row
+                v = low.bit_length() - 1
+                halves[u, v] = (out_u >> v & 1) + (out[v] >> u & 1)
+                row ^= low
+        return halves
 
     def weight(self, u: int, v: int) -> Fraction:
-        key = (u, v) if u < v else (v, u)
-        return Fraction(self.halves[key], 2)
+        """h(uv) / 2; KeyError when uv is not an edge."""
+        n = len(self.rows)
+        if not (0 <= u < n and 0 <= v < n and self.rows[u] >> v & 1):
+            raise KeyError((u, v) if u < v else (v, u))
+        return Fraction((self.out[u] >> v & 1) + (self.out[v] >> u & 1), 2)
 
     def vertex_numerator(self, v: int) -> int:
-        """Twice the weighted degree of v."""
-        return sum(h for (x, y), h in self.halves.items() if v == x or v == y)
+        """Twice the weighted degree of v: its arcs v -> x' plus the arcs x -> v'."""
+        return self.out[v].bit_count() + sum(o >> v & 1 for o in self.out)
 
     def satisfies(self, graph: Graph, g, f) -> bool:
-        """Exact check: support is E(G) and every weighted degree lies in [g, f]."""
+        """Exact check: support is E(G), every arc lies on an edge, and every weighted degree lies in [g, f]."""
         gv, fv = _bounds_vectors(graph, g, f)
-        if set(self.halves) != set(graph.edges()):
+        rows, out = self.rows, self.out
+        if rows != graph._rows or len(out) != len(rows):
             return False
-        if any(h not in (0, 1, 2) for h in self.halves.values()):
+        if any(o & ~r for o, r in zip(out, rows)):
             return False
-        num = [0] * graph.n
-        for (x, y), h in self.halves.items():
-            num[x] += h
-            num[y] += h
+        num = [o.bit_count() for o in out]
+        for o in out:
+            for v in _bits(o):
+                num[v] += 1
         return all(2 * gv[v] <= num[v] <= 2 * fv[v] for v in range(graph.n))
 
     def to_json(self) -> dict:
         return {
             "denominator": 2,
-            "weights": [[u, v, h] for (u, v), h in sorted(self.halves.items())],
+            "weights": [[u, v, h] for (u, v), h in self.halves.items()],
         }
 
 
@@ -538,21 +563,14 @@ def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     (g, f)-factor exists exactly when F does, and h(uv) = ([u -> v' in F] +
     [v -> u' in F]) / 2 is one; a failed search is a Hall-type proof that
     none exists, so this agrees with ``has_fractional_gf_factor`` on every
-    input.
+    input. The certificate holds F itself, as G's row masks and F's
+    left-side arc masks, so building it costs no pass over the edges. Each
+    call builds F from scratch.
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
     found = _double_cover_factor(graph._rows, gv, fv)
     if found is None:
         return None
-    out, into = found
-    halves = {}
-    for u, row in enumerate(graph._rows):
-        # arc v -> u' is bit v of into[u], so h(uv) counts u -> v' and v -> u' from row u alone
-        both, either = out[u] & into[u], out[u] | into[u]
-        row &= -2 << u  # neighbours above u, in increasing order
-        while row:
-            low = row & -row
-            halves[u, low.bit_length() - 1] = 2 if both & low else 1 if either & low else 0
-            row ^= low
-    return FractionalAssignment(halves)
+    out, _ = found
+    return FractionalAssignment(graph._rows, tuple(out))

@@ -1,10 +1,11 @@
 """Shared test helpers: seeded random graphs, brute-force oracles and a solve counter.
 
 The cross-check oracles here (the per-edge definition of "deleted", the
-subset criterion alone, the lower-bound flow network for fractional factors
-and the 3^n integer (g, f)-factor test) are the references the tests compare
-the library's routes against; the library itself does not use them, except
-that it reports a refutation's witness through the same subset scan.
+subset criterion alone, the lower-bound flow network for fractional factors,
+the weight-table check of a certificate and the 3^n integer (g, f)-factor
+test) are the references the tests compare the library's routes against;
+the library itself does not use them, except that it reports a refutation's
+witness through the same subset scan.
 """
 
 from __future__ import annotations
@@ -141,11 +142,27 @@ def find_fractional_factor_by_flow(graph: Graph, g, f) -> FractionalAssignment |
     flows = feasible_flow(2 + 2 * n, arcs, source, sink)
     if flows is None:
         return None
-    halves = {
-        (u, v): flows[edge_base + 2 * k] + flows[edge_base + 2 * k + 1]
-        for k, (u, v) in enumerate(edges)
-    }
-    return FractionalAssignment(halves)
+    out = [0] * n
+    for k, (u, v) in enumerate(edges):
+        out[u] |= flows[edge_base + 2 * k] << v  # the arc u -> v' carries flow
+        out[v] |= flows[edge_base + 2 * k + 1] << u
+    return FractionalAssignment(graph._rows, tuple(out))
+
+
+def satisfies_by_halves(halves: dict[tuple[int, int], int], graph: Graph, g, f) -> bool:
+    """Reference for ``FractionalAssignment.satisfies``, on a weight table keyed by vertex pairs:
+    the keys are exactly E(G), every numerator is in {0, 1, 2}, and each vertex's
+    numerator sum lies in [2g(v), 2f(v)]."""
+    gv, fv = _bounds_vectors(graph, g, f)
+    if set(halves) != set(graph.edges()):
+        return False
+    if any(h not in (0, 1, 2) for h in halves.values()):
+        return False
+    num = [0] * graph.n
+    for (x, y), h in halves.items():
+        num[x] += h
+        num[y] += h
+    return all(2 * gv[v] <= num[v] <= 2 * fv[v] for v in range(graph.n))
 
 
 # --- integer (g, f)-factors --------------------------------------------------

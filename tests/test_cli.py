@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracdel.cli
 import fracdel.theorems
 from fracdel import MATRIX_GUARD, ConvergenceError, Graph, complete, extremal, parse_graph6, scan, summarize, to_graph6
 from fracdel.cli import main
@@ -319,6 +320,22 @@ def test_a_graph_past_the_matrix_guard_is_an_error_row_or_exit_2(capsys, monkeyp
     for argv in (["spectral"], ["theorem", "--theorem", "1.8", "--a", "1", "--b", "3"]):
         code, out, err = run(capsys, *argv, "--graph6", line)
         assert code == 2 and out == "" and "4096-vertex limit" in err
+
+
+def test_spectral_and_theorem_refuse_a_line_past_the_matrix_guard_before_decoding_it(capsys, monkeypatch):
+    valid = to_graph6(Graph(MATRIX_GUARD + 1))  # about 1.4 MB of graph6
+    truncated = valid[:6]  # the size field and two payload bytes
+
+    def never(line):
+        raise AssertionError("parse_graph6 called on a line past the ceiling")
+
+    monkeypatch.setattr(fracdel.cli, "parse_graph6", never)
+    want = f"error: n={MATRIX_GUARD + 1} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices\n"
+    for line in (valid, truncated):
+        for argv in (["spectral"], ["theorem", "--theorem", "1.4", "--a", "1", "--b", "3"]):
+            assert run(capsys, *argv, "--graph6", line) == (2, "", want)
+            monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+            assert run(capsys, *argv) == (2, "", want)
 
 
 def _scan_peak_bytes(path, lines: int) -> int:

@@ -1,6 +1,7 @@
 """Factor oracles: criterion route, definitional route, flow certificates, integer factors."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,8 @@ from fracdel import (
     theta,
 )
 from fracdel import oracle
-from fracdel.oracle import _alternating_path, _greedy_start
+from fracdel.graph import _bits
+from fracdel.oracle import FractionalAssignment, _alternating_path, _greedy_start
 from helpers import (
     cycle_graph,
     find_fractional_factor_by_flow,
@@ -34,6 +36,7 @@ from helpers import (
     is_fractional_ab_deleted_by_edges,
     is_fractional_ab_deleted_by_subsets,
     path_graph,
+    satisfies_by_halves,
     star_graph,
 )
 
@@ -526,6 +529,66 @@ def test_certificate_weights_are_read_off_the_factor_masks(monkeypatch):
     assert found > 900 and weights == {0, 1, 2}
 
 
+def _pair_table(fa):
+    """fa's numerators keyed (min, max): 0 on every edge of its rows, plus one for every arc of
+    out, whether or not the arc lies on an edge."""
+    table = {(u, v): 0 for u, row in enumerate(fa.rows) for v in _bits(row) if u < v}
+    for u, arcs in enumerate(fa.out):
+        for v in _bits(arcs):
+            key = (min(u, v), max(u, v))
+            table[key] = table.get(key, 0) + 1
+    return table
+
+
+def test_satisfies_agrees_with_the_weight_table_reference():
+    rng = random.Random(4421)
+    certs = []
+    while len(certs) < 600:
+        g = gnp(rng.randint(1, 16), rng.choice([0.2, 0.5, 0.8, 1.0]), rng)
+        lo, hi = _random_bounds(g, rng)
+        fa = find_fractional_factor(g, lo, hi)
+        if fa is not None:
+            certs.append((g, lo, hi, fa))
+    verdicts, flips = set(), set()
+    for k, (g, lo, hi, fa) in enumerate(certs):
+        assert _pair_table(fa) == fa.halves
+        assert fa.satisfies(g, lo, hi) and satisfies_by_halves(fa.halves, g, lo, hi)
+        lo2 = [rng.randint(0, 3) for _ in range(g.n)]
+        hi2 = [x + rng.randint(0, 3) for x in lo2]
+        verdicts.add(fa.satisfies(g, lo2, hi2))
+        assert fa.satisfies(g, lo2, hi2) == satisfies_by_halves(fa.halves, g, lo2, hi2)
+        if g.n > 1:
+            u, v = rng.sample(range(g.n), 2)
+            wrong = Graph(g.n, set(g.edges()) ^ {(min(u, v), max(u, v))})  # one pair toggled
+            assert not fa.satisfies(wrong, lo, hi) and not satisfies_by_halves(fa.halves, wrong, lo, hi)
+        if k % 10:
+            continue
+        for u in range(g.n):
+            for v in range(g.n):  # every bit, on an edge, off one, and u -> u'
+                out = list(fa.out)
+                out[u] ^= 1 << v
+                flipped = FractionalAssignment(fa.rows, tuple(out))
+                got = flipped.satisfies(g, lo, hi)
+                assert got == satisfies_by_halves(_pair_table(flipped), g, lo, hi), (g, lo, hi, u, v)
+                flips.add((bool(g.adjacency_mask(u) >> v & 1), got))
+    assert verdicts == {True, False}
+    assert flips == {(True, True), (True, False), (False, False)}
+
+
+def test_per_edge_certificates_of_a_large_graph_are_small():
+    g = gnp(32, 0.5, random.Random(29))
+    assert g.edge_count == 252
+    tracemalloc.start()
+    try:
+        certs = [find_fractional_factor(delete_edge(g, u, v), 1, 3) for u, v in g.edges()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c is not None for c in certs)
+    # a weight table of ~250 tuple-keyed entries per certificate would take several MiB here
+    assert peak < 512 * 1024, peak
+
+
 def test_flow_certificate_repairs_a_greedy_deficit_with_a_long_path():
     # the path 3-0-2-1 with g = f = 1: greedy gives left 0 its lowest neighbour 2',
     # which leaves left 1 (whose only neighbour is 2') with nothing
@@ -567,6 +630,15 @@ def test_assignment_accessors():
     assert sorted(tuple(e[:2]) for e in data["weights"]) == sorted(g.edges())
     assert not fa.satisfies(g, 2, 2)
     assert not fa.satisfies(delete_edge(g, u, w), 1, 1)
+    for x, y in ((0, 2), (1, 3), (0, 0), (0, 4), (-1, 0)):
+        with pytest.raises(KeyError):
+            fa.weight(x, y)
+    # the two orientations of C_4: the same weights from different arcs, so not equal
+    forward = FractionalAssignment(g._rows, tuple(1 << (v + 1) % 4 for v in range(4)))
+    backward = FractionalAssignment(g._rows, tuple(1 << (v - 1) % 4 for v in range(4)))
+    assert forward.halves == backward.halves == dict.fromkeys(g.edges(), 1)
+    assert forward != backward and forward == FractionalAssignment(g._rows, forward.out)
+    assert forward.satisfies(g, 1, 1) and backward.satisfies(g, 1, 1)
 
 
 def test_flow_certificate_infeasible():
