@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import base64
 import re
-from itertools import combinations
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -78,7 +78,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._rows = rows
-        g._edge_count = sum(r.bit_count() for r in rows) // 2
+        g._edge_count = sum(map(int.bit_count, rows)) // 2
         g._spectra = None
         return g
 
@@ -286,11 +286,10 @@ def is_connected(g: Graph) -> bool:
 
 _SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}  # str.translate table
 _BAD_PAYLOAD_BYTE = re.compile("[^?-~]")  # any character outside 63..126
-
-
-def _pair_index(i: int, j: int) -> int:
-    # position of (i, j), i < j, in column-major upper-triangle order
-    return j * (j - 1) // 2 + i
+# base64 writes 6-bit group v as the v-th letter of its alphabet; graph6 writes it as byte 63 + v
+_B64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def _graph6_size(s: str) -> tuple[int, int]:
@@ -378,7 +377,13 @@ def parse_graph6(line: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Canonical graph6 encoding (no header, no trailing newline)."""
+    """Canonical graph6 encoding (no header, no trailing newline).
+
+    Built from the adjacency row masks with no pass over the edges: the low j
+    bits of row j are column j of the upper triangle, at bit offset j(j-1)/2
+    of the integer ``parse_graph6`` reads. Its binary digits, reversed once,
+    are the payload bit stream, which base64 cuts into 6-bit groups.
+    """
     n = g.n
     if n < 1:
         raise ValueError("graph6 requires n >= 1")
@@ -389,11 +394,15 @@ def to_graph6(g: Graph) -> str:
     else:
         head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
     nbits = n * (n - 1) // 2
-    groups = bytearray((nbits + 5) // 6)
-    for u, v in g.edges():
-        k = _pair_index(u, v)
-        groups[k // 6] |= 32 >> (k % 6)
-    return head + "".join(chr(63 + b) for b in groups)
+    if nbits == 0:
+        return head
+    rows = g._rows
+    # most significant column first, so the joined digits are that integer in binary
+    digits = "".join([format(rows[j] & ((1 << j) - 1), "b").zfill(j) for j in range(n - 1, 0, -1)])
+    pad = -nbits % 24  # left-align the stream to whole 3-byte base64 blocks
+    stream = int(digits[::-1], 2) << pad
+    payload = base64.b64encode(stream.to_bytes((nbits + pad) // 8, "big")).translate(_B64_TO_GRAPH6)
+    return head + payload[: (nbits + 5) // 6].decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

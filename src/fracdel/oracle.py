@@ -130,7 +130,10 @@ class FractionalAssignment:
         return Fraction((self.out[u] >> v & 1) + (self.out[v] >> u & 1), 2)
 
     def vertex_numerator(self, v: int) -> int:
-        """Twice the weighted degree of v: its arcs v -> x' plus the arcs x -> v'."""
+        """Twice the weighted degree of v: its arcs v -> x' plus the arcs x -> v'; IndexError off 0..n-1."""
+        n = len(self.out)
+        if not (0 <= v < n):
+            raise IndexError(f"vertex {v} out of range for n={n}")
         return self.out[v].bit_count() + sum(o >> v & 1 for o in self.out)
 
     def satisfies(self, graph: Graph, g, f) -> bool:

@@ -23,7 +23,7 @@ from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, Graph6Error, _graph6_size, extremal, is_connected, parse_graph6
+from .graph import Graph, Graph6Error, _graph6_size, complete, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
 from .spectral import ConvergenceError, _check_matrix_guard, spectral_summary
 
@@ -41,8 +41,6 @@ __all__ = [
     "scan",
     "summarize",
 ]
-
-THEOREM_IDS = ("1.4", "1.6", "1.8")
 
 # Strict inequalities on floats: x > y counts only when x - y > DEFAULT_MARGIN,
 # so values within the margin are treated as not strictly greater.
@@ -94,6 +92,39 @@ def extremal_spectra(n: int, a: int) -> tuple[float, float]:
     return float(np.linalg.eigvalsh(adj)[-1]), float(np.linalg.eigvalsh(signless)[-1])
 
 
+# theorem id -> (needs a connected graph, the condition's own values from (n, a),
+# its hypothesis from all values, n and a). The own values follow the common ones
+# in ``values``, in the order written here. Every condition reports rho and q, so
+# 1.8 keeps the spectral solve.
+_CONDITIONS = {
+    "1.4": (
+        False,
+        lambda n, a: {"rho_extremal": extremal_spectra(n, a)[0] if n >= a + 2 else None},
+        lambda v, n, a: v["rho_extremal"] is not None and v["rho"] - v["rho_extremal"] > DEFAULT_MARGIN,
+    ),
+    "1.6": (
+        True,
+        lambda n, a: {
+            "q_threshold": 2 * n - 4 + (a + 1) / (n - 1) if n >= 2 else None,
+            "q_extremal": extremal_spectra(n, a)[1] if n >= a + 2 else None,
+        },
+        lambda v, n, a: (
+            v["q_threshold"] is not None
+            and v["q_extremal"] is not None
+            and v["q"] - v["q_threshold"] > DEFAULT_MARGIN
+            and v["q"] - v["q_extremal"] > DEFAULT_MARGIN
+        ),
+    ),
+    "1.8": (
+        False,
+        lambda n, a: {"min_degree_needed": a + 1, "size_bound": (n - 1) * (n - 2) / 2 + (a + 2) / 2},
+        # compare 2e >= (n-1)(n-2) + a + 2 so the half-integer bound stays exact
+        lambda v, n, a: v["delta"] >= a + 1 and 2 * v["e"] >= (n - 1) * (n - 2) + a + 2,
+    ),
+}
+THEOREM_IDS = tuple(_CONDITIONS)
+
+
 def eval_theorem(
     graph: Graph,
     theorem_id: str,
@@ -120,38 +151,17 @@ def eval_theorem(
     connected = is_connected(graph)
     summary = spectral_summary(graph)
 
-    applicable = b >= max(a, 3) and n >= max(a + 2, 7)
-    if theorem_id == "1.6":
-        applicable = applicable and connected
-
+    connected_only, own_values, met = _CONDITIONS[theorem_id]
+    applicable = b >= max(a, 3) and n >= max(a + 2, 7) and (connected or not connected_only)
     values: dict = {
         "e": e,
         "delta": delta,
         "connected": connected,
         "rho": summary.rho,
         "q": summary.q,
+        **own_values(n, a),
     }
-
-    if theorem_id == "1.4":
-        rho_star = extremal_spectra(n, a)[0] if n >= a + 2 else None
-        values["rho_extremal"] = rho_star
-        hypothesis_met = rho_star is not None and summary.rho - rho_star > DEFAULT_MARGIN
-    elif theorem_id == "1.6":
-        threshold = 2 * n - 4 + (a + 1) / (n - 1) if n >= 2 else None
-        q_star = extremal_spectra(n, a)[1] if n >= a + 2 else None
-        values["q_threshold"] = threshold
-        values["q_extremal"] = q_star
-        hypothesis_met = (
-            threshold is not None
-            and q_star is not None
-            and summary.q - threshold > DEFAULT_MARGIN
-            and summary.q - q_star > DEFAULT_MARGIN
-        )
-    else:  # "1.8"
-        values["min_degree_needed"] = a + 1
-        values["size_bound"] = (n - 1) * (n - 2) / 2 + (a + 2) / 2
-        # compare 2e >= (n-1)(n-2) + a + 2 so the half-integer bound stays exact
-        hypothesis_met = delta >= a + 1 and 2 * e >= (n - 1) * (n - 2) + a + 2
+    hypothesis_met = met(values, n, a)
 
     oracle_verdict: bool | str
     try:
@@ -260,6 +270,8 @@ def graphs_with_min_edges(n: int, min_edges: int) -> Iterator[Graph]:
     Enumerated through complements (choose which pairs to remove from K_n),
     so dense families come out without touching the full 2^C(n,2) space.
     Deterministic order: edge count descending, removed pairs lexicographic.
+    Each graph is K_n's row masks with its removed pairs toggled; no edge
+    list is built.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -267,10 +279,14 @@ def graphs_with_min_edges(n: int, min_edges: int) -> Iterator[Graph]:
     total = len(pairs)
     if min_edges > total:
         return
+    full = complete(n)._rows
     for k in range(total - min_edges + 1):
-        for missing in combinations(range(total), k):
-            missing_set = set(missing)
-            yield Graph(n, (pairs[i] for i in range(total) if i not in missing_set))
+        for missing in combinations(pairs, k):
+            rows = list(full)
+            for u, v in missing:
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            yield Graph._from_rows(n, tuple(rows))
 
 
 @dataclass(frozen=True)

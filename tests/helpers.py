@@ -2,17 +2,17 @@
 
 The cross-check oracles here (the per-edge definition of "deleted", the
 subset criterion alone, the lower-bound flow network for fractional factors,
-the weight-table check of a certificate and the 3^n integer (g, f)-factor
-test) are the references the tests compare the library's routes against;
-the library itself does not use them, except that it reports a refutation's
-witness through the same subset scan.
+the weight-table check of a certificate, the 3^n integer (g, f)-factor test
+and the edge-list enumeration of dense graphs) are the references the tests
+compare the library's routes against; the library itself does not use them,
+except that it reports a refutation's witness through the same subset scan.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import fracdel.spectral
 from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected
@@ -45,6 +45,20 @@ def count_solves(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(fracdel.spectral, "eigen_max_symmetric", counted)
     return solves
+
+
+def graphs_with_min_edges_by_edge_list(n: int, min_edges: int) -> Iterator[Graph]:
+    """``theorems.graphs_with_min_edges`` written through the edge-list constructor: the order reference."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    pairs = list(combinations(range(n), 2))
+    total = len(pairs)
+    if min_edges > total:
+        return
+    for k in range(total - min_edges + 1):
+        for missing in combinations(range(total), k):
+            missing_set = set(missing)
+            yield Graph(n, (pairs[i] for i in range(total) if i not in missing_set))
 
 
 def random_connected(n: int, p: float, rng: random.Random) -> Graph:

@@ -61,12 +61,14 @@ def test_matches_networkx_codec():
 def _encode(n, edges):
     """graph6 of (n, edges), written here from the format alone, without Graph."""
     head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-    bits = [0] * (n * (n - 1) // 2 + 5)  # padded up to whole 6-bit groups below
+    nbits = n * (n - 1) // 2
+    bits = bytearray(b"0" * (nbits + -nbits % 6))  # padded up to whole 6-bit groups
     for u, v in edges:
         i, j = min(u, v), max(u, v)
-        bits[j * (j - 1) // 2 + i] = 1
-    groups = [bits[k : k + 6] for k in range(0, n * (n - 1) // 2, 6)]
-    return head + "".join(chr(63 + int("".join(map(str, grp)), 2)) for grp in groups)
+        bits[j * (j - 1) // 2 + i] = ord("1")
+    bits = bytes(bits)
+    char = {format(c, "06b").encode(): chr(63 + c) for c in range(64)}
+    return head + "".join([char[bits[k : k + 6]] for k in range(0, len(bits), 6)])
 
 
 def test_decode_matches_the_edge_list_constructor():
@@ -81,6 +83,31 @@ def test_decode_matches_the_edge_list_constructor():
             g = parse_graph6(line)
             assert g == Graph(n, edges) and g.edge_count == len(edges)
             assert list(g.edges()) == edges
+
+
+def test_encoder_matches_the_format_reference():
+    # the encoder packs row masks into one integer and cuts it with base64; it must
+    # write the format's bytes across the 62/63 size-form boundary and every
+    # padding length: C(n, 2) mod 24 has period 48 in n, so n <= 70 sees every residue
+    assert {n * (n - 1) // 2 % 24 for n in range(1, 71)} == {n * (n - 1) // 2 % 24 for n in range(1, 1000)}
+    rng = random.Random(73)
+    for n in range(1, 71):
+        for p in (0.0, 0.2, 0.5, 1.0):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph(n, edges)
+            line = to_graph6(g)
+            assert line == _encode(n, edges)
+            assert parse_graph6(line) == g
+
+
+@pytest.mark.parametrize("path", [False, True], ids=["edgeless", "path"])
+def test_encoder_on_a_large_line(path):
+    n = 4097
+    edges = [(i, i + 1) for i in range(n - 1)] if path else []
+    g = Graph(n, edges)
+    line = to_graph6(g)
+    assert line == _encode(n, edges)
+    assert parse_graph6(line) == g
 
 
 @pytest.mark.parametrize("n", [63, 64, 100, 258])

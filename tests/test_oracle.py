@@ -633,6 +633,9 @@ def test_assignment_accessors():
     for x, y in ((0, 2), (1, 3), (0, 0), (0, 4), (-1, 0)):
         with pytest.raises(KeyError):
             fa.weight(x, y)
+    for v in (-1, -4, 4):  # no shift by a negative count, no wrap-around from the end
+        with pytest.raises(IndexError):
+            fa.vertex_numerator(v)
     # the two orientations of C_4: the same weights from different arcs, so not equal
     forward = FractionalAssignment(g._rows, tuple(1 << (v + 1) % 4 for v in range(4)))
     backward = FractionalAssignment(g._rows, tuple(1 << (v - 1) % 4 for v in range(4)))

@@ -26,7 +26,7 @@ from fracdel import (
     to_graph6,
     verify_sharpness,
 )
-from helpers import count_solves, cycle_graph, gnp, path_graph
+from helpers import count_solves, cycle_graph, gnp, graphs_with_min_edges_by_edge_list, path_graph
 
 
 def test_report_on_complete_graph():
@@ -199,6 +199,19 @@ def test_graphs_with_min_edges_counts():
     assert len(set(graphs)) == len(graphs)  # labeled graphs, no repeats
     assert list(graphs_with_min_edges(3, 4)) == []
     assert len(list(graphs_with_min_edges(3, 0))) == 8
+
+
+def test_graphs_with_min_edges_matches_the_edge_list_reference():
+    # the generator toggles pairs of K_n's row masks; it must yield the edge-list
+    # version's graphs in the same order, with the same edge counts and no spectra kept
+    cases = [(n, m) for n in range(7) for m in range(-1, n * (n - 1) // 2 + 2)] + [(7, 17)]
+    for n, m in cases:
+        got = list(graphs_with_min_edges(n, m))
+        want = list(graphs_with_min_edges_by_edge_list(n, m))
+        assert got == want, (n, m)
+        assert [g.edge_count for g in got] == [g.edge_count for g in want]
+        assert all(g._spectra is None for g in got)
+    assert len(got) == 7547
 
 
 # --- scanning ----------------------------------------------------------------------
