@@ -365,23 +365,24 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     d_{G-S}(v) <= a}, theta(S, T) must reach epsilon(S, T). When the minimum
     degree is <= a, S = {} violates it (T is nonempty and theta(S, T) is
     <= 0, or < 0 when every T-vertex is isolated) and is reported before
-    any factor is built. Otherwise a true verdict is decided in polynomial
-    time on the double cover: an [a, b]-factor F0, then a second one F1
-    built off F0's support; an edge outside either support needs nothing
-    more, and each edge in both is dropped from a copy of F0 or F1 that is
-    then repaired. A refutation found there needs the 2^n scan for its
-    witness. The size guard applies to both verdicts.
+    the size guard and before any factor is built, at any n. Otherwise a
+    true verdict is decided in polynomial time on the double cover: an
+    [a, b]-factor F0, then a second one F1 built off F0's support; an edge
+    outside either support needs nothing more, and each edge in both is
+    dropped from a copy of F0 or F1 that is then repaired. A refutation
+    found there needs the 2^n scan for its witness. The size guard applies
+    to both of these verdicts, and to an edgeless graph.
     """
     _validate_ab(a, b)
     _require_vertices(graph)
-    _check_subset_guard(graph.n, max_n)
-    if graph.edge_count == 0:
-        return True, None
-    if graph.min_degree() <= a:
+    if graph.edge_count and graph.min_degree() <= a:
         at_empty = deficiency_witness(graph, (), a, b)
         if at_empty.satisfied:
             raise RuntimeError(f"minimum degree {graph.min_degree()} <= a = {a}, but S = {{}} satisfies the criterion")
         return False, at_empty
+    _check_subset_guard(graph.n, max_n)
+    if graph.edge_count == 0:
+        return True, None
     if _deleted_by_repair(graph, a, b):
         return True, None
     verdict, witness = _subset_deleted(graph, a, b)

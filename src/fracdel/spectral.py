@@ -1,4 +1,7 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and spectral bounds for graphs.
+"""Dense symmetric eigensolver (Jacobi) and spectral bounds for graphs.
+
+``eigen_max_symmetric`` sweeps in the parallel (round-robin) order and applies
+each round's disjoint rotations together, as one orthogonal matrix product.
 
 ``spectral_summary`` solves rho and q of a graph once per Graph object and
 tol: the result is kept on the graph itself and returned by later calls with
@@ -36,7 +39,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_SWEEPS = 100
-MATRIX_GUARD = 4096  # largest n given a dense n x n matrix: one float64 matrix is then 128 MiB
+MATRIX_GUARD = 4096  # largest n given dense n x n matrices: 128 MiB each, and a solve holds about 6 at its peak
 
 
 class ConvergenceError(RuntimeError):
@@ -94,13 +97,30 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def eigen_max_symmetric(m, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
-    """Largest eigenvalue and eigenvector of a symmetric matrix by cyclic Jacobi.
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's schedule: row r of (p, q) holds the disjoint pairs p < q of round r.
 
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm is <= tol. Raises ConvergenceError if the sweep budget runs out or
-    the final eigenpair residual still exceeds tol, and ValueError on
-    non-square or non-symmetric input.
+    The circle method on m = n rounded up to even: round r pairs r with m - 1,
+    and r + i with r - i (mod m - 1) for 0 < i < m/2, so each pair falls in
+    exactly one of the m - 1 rounds. For odd n, column 0 (the pairs with the
+    phantom vertex m - 1 = n) is dropped.
+    """
+    m = n + (n & 1)
+    r, i = np.arange(m - 1)[:, None], np.arange(m // 2)
+    p, q = (r + i) % (m - 1), (r - i) % (m - 1)
+    q[:, 0] = m - 1
+    return np.minimum(p, q)[:, n & 1 :], np.maximum(p, q)[:, n & 1 :]
+
+
+def eigen_max_symmetric(m, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
+    """Largest eigenvalue and eigenvector of a symmetric matrix by parallel-ordered Jacobi.
+
+    A sweep is the m - 1 rounds of ``_round_robin`` (m = n rounded up to even).
+    The rotations of one round act on disjoint pairs, so they commute and are
+    applied at once as one orthogonal ``rot``: a = rot.T @ a @ rot. Sweeps run
+    until the off-diagonal Frobenius norm is <= tol. Raises ConvergenceError
+    if the sweep budget runs out or the final eigenpair residual still exceeds
+    tol, and ValueError on non-square or non-symmetric input.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -119,35 +139,30 @@ def eigen_max_symmetric(m, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEP
         return EigenResult(float(a[0, 0]), np.array([1.0]), 0.0)
 
     v = np.eye(n)
+    rounds = list(zip(*_round_robin(n)))
     converged = False
     for _ in range(max_sweeps):
         if _off_norm(a) <= tol:
             converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
+        for p, q in rounds:
+            live = np.flatnonzero(a[p, q])
+            if not live.size:
+                continue
+            p, q = p[live], q[live]
+            apq, app, aqq = a[p, q], a[p, p], a[q, q]
+            with np.errstate(over="ignore"):  # a tiny a_pq overflows tau or |tau| + hypot to inf: t = 0, its limit
                 tau = (aqq - app) / (2.0 * apq)
-                # hypot keeps sqrt(1 + tau^2) finite when tau^2 would overflow
-                t = 1.0 / (tau + math.hypot(1.0, tau)) if tau >= 0 else 1.0 / (tau - math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                # closed forms for the rotated pair cut roundoff drift
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+                # the small angle; hypot keeps sqrt(1 + tau^2) finite when tau^2 would overflow
+                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            rot = np.eye(n)
+            rot[p, p] = rot[q, q] = c
+            rot[p, q], rot[q, p] = t * c, -t * c
+            a = rot.T @ a @ rot
+            a[p, q] = a[q, p] = 0.0
+            a[p, p], a[q, q] = app - t * apq, aqq + t * apq  # closed forms cut roundoff drift
+            v = v @ rot
     if not converged and _off_norm(a) > tol:
         raise ConvergenceError(f"no convergence within {max_sweeps} sweeps", _off_norm(a))
 

@@ -82,11 +82,14 @@ def test_check_true(capsys):
 
 
 def test_check_guard_exit(capsys):
-    code, _, err = run(capsys, "check", "--graph6", to_graph6(path_graph(25)), "--a", "1", "--b", "3")
+    code, _, err = run(capsys, "check", "--graph6", to_graph6(cycle_graph(25)), "--a", "1", "--b", "3")
     assert code == 2 and "max_n" in err
     code, out, _ = run(
-        capsys, "check", "--graph6", to_graph6(path_graph(25)), "--a", "1", "--b", "3", "--max-n", "25"
+        capsys, "check", "--graph6", to_graph6(cycle_graph(25)), "--a", "1", "--b", "3", "--max-n", "25"
     )
+    assert code == 0 and json.loads(out)["verdict"] is True
+    # a vertex of degree <= a refutes at S = {} before the guard
+    code, out, _ = run(capsys, "check", "--graph6", to_graph6(path_graph(25)), "--a", "1", "--b", "3")
     assert code == 1  # a path is not [1,3]-deleted: end edges strand a vertex
     assert json.loads(out)["verdict"] is False
 
@@ -158,7 +161,7 @@ def test_theorem_report(capsys):
 
 def test_theorem_skip_above_guard(capsys):
     code, out, _ = run(
-        capsys, "theorem", "--graph6", to_graph6(path_graph(25)), "--theorem", "1.8", "--a", "1", "--b", "3"
+        capsys, "theorem", "--graph6", to_graph6(cycle_graph(25)), "--theorem", "1.8", "--a", "1", "--b", "3"
     )
     assert code == 0
     assert json.loads(out)["oracle"] == "skipped(size-guard)"
@@ -293,7 +296,7 @@ def test_scan_file_and_stdin_print_same_bytes(capsys, monkeypatch, tmp_path):
 
 
 def test_scan_max_n_past_the_mask_width_skips_the_oracle(capsys, monkeypatch):
-    lines = [to_graph6(g) for g in (complete(7), path_graph(64), complete(8))]
+    lines = [to_graph6(g) for g in (complete(7), cycle_graph(64), complete(8))]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code, out, err = run(capsys, "scan", "--theorem", "1.8", "--a", "1", "--b", "3", "--max-n", "100")
     assert code == 0 and err == ""

@@ -692,19 +692,22 @@ def test_lovasz_disconnected():
 
 def test_subset_guard():
     g = path_graph(25)
+    # delta <= a is refuted at S = {} before the guard, at any n
+    assert is_fractional_ab_deleted(g, 1, 3) == (False, deficiency_witness(g, (), 1, 3))
     with pytest.raises(SizeGuardError):
-        is_fractional_ab_deleted(g, 1, 3)
+        is_fractional_ab_deleted(cycle_graph(25), 1, 3)  # delta > a: the guard still applies
     with pytest.raises(SizeGuardError):
         has_fractional_gf_factor(g, 1, 3)
     with pytest.raises(SizeGuardError):
         is_fractional_ab_deleted_by_edges(g, 1, 3)
     # tighter override refuses smaller graphs; looser one admits them
     with pytest.raises(SizeGuardError):
-        is_fractional_ab_deleted(path_graph(10), 1, 3, max_n=9)
-    assert is_fractional_ab_deleted(path_graph(10), 1, 3, max_n=10)[0] is False
+        is_fractional_ab_deleted(cycle_graph(10), 1, 3, max_n=9)
+    assert is_fractional_ab_deleted(cycle_graph(10), 1, 3, max_n=10) == (True, None)
+    assert is_fractional_ab_deleted(path_graph(10), 1, 3, max_n=9)[0] is False
     # no override lifts the 2^n routes past the 63-bit subset masks
     with pytest.raises(SizeGuardError):
-        is_fractional_ab_deleted(path_graph(64), 1, 3, max_n=64)
+        is_fractional_ab_deleted(complete(64), 1, 3, max_n=64)
 
 
 def test_pair_guard():

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fracdel import (
     spectral_summary,
     to_graph6,
 )
+from fracdel.spectral import _round_robin
 from helpers import count_solves, cycle_graph, gnp, path_graph, random_connected, star_graph
 
 
@@ -99,6 +101,62 @@ def test_eigen_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError) as ei:
         eigen_max_symmetric(m, tol=1e-300)
     assert ei.value.residual > 0
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_round_robin_schedule(n):
+    p, q = _round_robin(n)
+    assert p.shape == q.shape == (n - 1 + n % 2, n // 2)
+    for rp, rq in zip(p, q):
+        assert len(set(rp.tolist()) | set(rq.tolist())) == 2 * len(rp)  # disjoint within a round
+    pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+    assert pairs == list(combinations(range(n), 2))  # every p < q once per sweep
+
+
+def _planted(rng, eigenvalues):
+    basis, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    m = basis @ np.diag(eigenvalues) @ basis.T
+    return (m + m.T) / 2
+
+
+def test_eigen_matches_eigvalsh_at_odd_and_even_n():
+    rng = np.random.default_rng(11)
+    two_k4 = adjacency_matrix(disjoint_union(complete(4), complete(4)))  # top eigenvalue 3, twice
+    blocks = np.zeros((9, 9))  # pairs only inside {0, 1}, {2, 3, 4} and {5, 6}: whole rounds are zero
+    for cell in ([0, 1], [2, 3, 4], [5, 6]):
+        blocks[np.ix_(cell, cell)] = _planted(rng, rng.uniform(-3, 3, size=len(cell)))
+    p, q = _round_robin(9)
+    assert any(not blocks[rp, rq].any() for rp, rq in zip(p, q))
+    matrices = [two_k4, blocks, _planted(rng, rng.uniform(-9, -1, size=7)), _planted(rng, rng.uniform(-9, -1, size=11))]
+    for n in (2, 3, 4, 5, 8, 13, 16, 31, 40):
+        matrices.append(_planted(rng, rng.uniform(-5, 5, size=n)))
+        matrices.append(adjacency_matrix(gnp(n, 0.5, random.Random(n))))
+    for m in matrices:
+        result = eigen_max_symmetric(m)
+        assert abs(result.value - np.linalg.eigvalsh(m)[-1]) <= 1e-9
+        assert 0 <= result.residual <= 1e-10
+        assert abs(np.linalg.norm(result.vector) - 1.0) <= 1e-9
+    assert eigen_max_symmetric(matrices[2]).value < -1 + 1e-9  # all-negative spectrum at odd n
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigen_tiny_off_diagonal_rotates_by_zero_without_a_warning():
+    # tau = (a_qq - a_pp) / (2 a_pq) overflows on the division, or on |tau| + hypot(1, tau)
+    for tiny, corner in ((1e-310, 10.0), (5e-309, 1.0)):  # pair (1, 2) is rotated first, in round 0
+        m = np.array([[0.5, 1.0, 0.0], [1.0, 0.0, tiny], [0.0, tiny, corner]])
+        result = eigen_max_symmetric(m)
+        assert abs(result.value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 and result.residual <= 1e-10
+
+
+def test_eigen_sweep_budget():
+    rng = np.random.default_rng(23)
+    m = _planted(rng, rng.uniform(-5, 5, size=12))
+    with pytest.raises(ConvergenceError) as ei:
+        eigen_max_symmetric(m, max_sweeps=1)
+    assert ei.value.residual > 0
+    for n in (7, 32):  # the small-angle rotations converge quadratically
+        m = adjacency_matrix(gnp(n, 0.5, random.Random(n)))
+        assert eigen_max_symmetric(m, max_sweeps=8).residual <= 1e-10
 
 
 @pytest.mark.parametrize("n", range(2, 13))

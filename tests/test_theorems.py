@@ -84,12 +84,14 @@ def test_applicability_gates():
 
 
 def test_oracle_skip_above_guard():
-    r = eval_theorem(path_graph(25), "1.8", 1, 3)
+    r = eval_theorem(cycle_graph(25), "1.8", 1, 3)
     assert r.oracle_verdict == "skipped(size-guard)"
     assert r.consistent  # no claim without the oracle
     assert r.witness is None
-    r = eval_theorem(path_graph(25), "1.8", 1, 3, max_n=9)
+    r = eval_theorem(cycle_graph(25), "1.8", 1, 3, max_n=9)
     assert r.oracle_verdict == "skipped(size-guard)"
+    r = eval_theorem(path_graph(25), "1.8", 1, 3)  # delta <= a is refuted before the guard
+    assert r.oracle_verdict is False and r.witness.s == ()
 
 
 def test_eval_validation():
