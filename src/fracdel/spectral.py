@@ -1,7 +1,11 @@
 """Dense symmetric eigensolver (Jacobi) and spectral bounds for graphs.
 
-``eigen_max_symmetric`` sweeps in the parallel (round-robin) order and applies
-each round's disjoint rotations together, as one orthogonal matrix product.
+``_jacobi`` solves a (k, n, n) stack of symmetric matrices together. It
+sweeps in the parallel (round-robin) order, and each round applies its
+disjoint rotations to all k matrices at once, as one batched product with
+orthogonal matrices. A matrix leaves the stack once it has converged.
+``spectral_summary`` hands it A and D + A as one stack of two, and
+``eigen_max_symmetric`` a stack of one.
 
 ``spectral_summary`` solves rho and q of a graph once per Graph object and
 tol: the result is kept on the graph itself and returned by later calls with
@@ -12,6 +16,7 @@ solves. A failed solve is not kept. ``spectral_radius`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,7 +44,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_SWEEPS = 100
-MATRIX_GUARD = 4096  # largest n given dense n x n matrices: 128 MiB each, and a solve holds about 6 at its peak
+# largest n given dense n x n matrices: 128 MiB each. spectral_summary holds about 11
+# at its peak, and 13 while the round schedule for that n is not yet cached.
+MATRIX_GUARD = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -76,13 +83,18 @@ def _check_matrix_guard(n: int) -> None:
         raise ValueError(f"n={n} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices")
 
 
+def _adjacency_stack(g: Graph, k: int) -> np.ndarray:
+    """k copies of the adjacency matrix in one (k, n, n) array; ValueError above MATRIX_GUARD, before any allocation."""
+    _check_matrix_guard(g.n)
+    m = np.zeros((k, g.n, g.n))
+    u, v = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
+    m[:, u, v] = m[:, v, u] = 1.0
+    return m
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """The dense adjacency matrix; ValueError above MATRIX_GUARD vertices, before any allocation."""
-    _check_matrix_guard(g.n)
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    return a
+    return _adjacency_stack(g, 1)[0]
 
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
@@ -92,9 +104,11 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return q
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _off_norms(a: np.ndarray, scratch: np.ndarray) -> list[float]:
+    """The off-diagonal Frobenius norm of each matrix of the stack a, worked out in scratch (same shape)."""
+    np.copyto(scratch, a)
+    scratch.reshape(len(a), -1)[:, :: a.shape[-1] + 1] = 0.0
+    return [float(np.linalg.norm(x)) for x in scratch]
 
 
 def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +126,99 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(p, q)[:, n & 1 :], np.maximum(p, q)[:, n & 1 :]
 
 
+@functools.lru_cache(maxsize=4)
+def _schedule(n: int) -> list[np.ndarray]:
+    """The rounds of ``_round_robin(n)`` as flat indices into an n x n matrix.
+
+    A round's array has shape (4, 1, h) for its h pairs: the flat positions of
+    their (p, p), (q, q), (p, q) and (q, p) entries. Adding n * n * j indexes
+    matrix j of a flattened stack.
+    """
+    return [np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))[:, None] for p, q in zip(*_round_robin(n))]
+
+
+def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[EigenResult]:
+    """Top eigenpair of each matrix of a (k, n, n) stack of symmetric matrices, by parallel-ordered Jacobi.
+
+    All k matrices sweep together: each round's angles are (k, h) arrays for
+    its h pairs, and its rotations are applied as one batched product,
+    a = rot^T a rot. A pair is live in a matrix when its a_pq != 0. Its angle
+    is 0 elsewhere, and only live pairs get a_pq = a_qp = 0 and their
+    diagonals from the closed forms. At the start of each sweep, every matrix
+    whose off-diagonal norm is <= tol leaves the stack; its eigenpair is read
+    off and its residual |Mx - lambda x|_inf against m must be <= tol, else
+    ConvergenceError. A matrix still in the stack after max_sweeps sweeps
+    raises ConvergenceError with the largest off-diagonal norm left.
+    """
+    k, n, _ = m.shape
+    rounds, offsets = _schedule(n), n * n * np.arange(k)[:, None]  # built before the n x n buffers: a lower peak
+    a = m + m.transpose(0, 2, 1)
+    a /= 2.0
+    v = np.tile(np.eye(n), (k, 1, 1))
+    rot, tmp = v.copy(), np.empty_like(a)
+    identity = np.repeat([1.0, 0.0], 2 * k * (n // 2)).reshape(4, k, n // 2)
+    turn, fix = np.empty((4, k, n // 2)), np.zeros((4, k, n // 2))  # a round's c, c, s, -s; its closed forms and zeros
+    results: list = [None] * k
+    left = list(range(k))  # the input index of each matrix still in the stack
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # pairs not live, and a tiny a_pq: t = 0
+        for sweep in range(max_sweeps + 1):  # the pass at sweep == max_sweeps returns or raises
+            offs = _off_norms(a, tmp)
+            for j, off in enumerate(offs):
+                if off <= tol:  # converged: read its eigenpair off and check it against the input
+                    top = int(np.argmax(np.diag(a[j])))
+                    value, vector = float(a[j, top, top]), v[j, :, top].copy()
+                    residual = float(np.max(np.abs(m[left[j]] @ vector - value * vector)))
+                    if not residual <= tol:  # a NaN residual fails too
+                        raise ConvergenceError("eigenpair residual exceeds tol", residual)
+                    results[left[j]] = EigenResult(value, vector, residual)
+            stay = [j for j, off in enumerate(offs) if not off <= tol]  # a NaN norm stays, to run out of sweeps
+            if not stay:
+                return results
+            if sweep == max_sweeps:
+                raise ConvergenceError(f"no convergence within {max_sweeps} sweeps", max(offs[j] for j in stay))
+            if len(stay) < len(left):  # the converged leave the stack, which is compacted in place
+                for to, j in enumerate(stay):
+                    a[to], v[to] = a[j], v[j]
+                kept = len(stay)
+                a, v, rot, tmp, offsets = a[:kept], v[:kept], rot[:kept], tmp[:kept], offsets[:kept]
+                identity, turn, fix = identity[:, :kept], turn[:, :kept], fix[:, :kept]
+                left = [left[j] for j in stay]
+            for pairs in rounds:
+                idx = pairs + offsets
+                old = a.take(idx)
+                app, aqq, apq = old[0], old[1], old[2]
+                if not np.count_nonzero(apq):
+                    continue
+                live = apq != 0.0
+                tau = (aqq - app) / (2.0 * apq)
+                # the small angle; hypot keeps sqrt(1 + tau^2) finite when tau^2 would overflow
+                t = np.where(live, np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
+                np.divide(1.0, np.sqrt(1.0 + t * t), out=turn[0])
+                turn[1] = turn[0]
+                np.multiply(t, turn[0], out=turn[2])
+                np.subtract(0.0, turn[2], out=turn[3])  # -s, and +0.0 (not -0.0) where the pair is not live
+                rot.put(idx, turn)
+                np.matmul(rot.transpose(0, 2, 1), a, out=tmp)
+                np.matmul(tmp, rot, out=a)
+                np.matmul(v, rot, out=tmp)
+                v, tmp = tmp, v
+                rot.put(idx, identity)
+                tapq = t * apq  # closed forms cut roundoff drift
+                np.subtract(app, tapq, out=fix[0])
+                np.add(aqq, tapq, out=fix[1])
+                a.put(idx, np.where(live, fix, a.take(idx)))
+
+
 def eigen_max_symmetric(m, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
     """Largest eigenvalue and eigenvector of a symmetric matrix by parallel-ordered Jacobi.
 
-    A sweep is the m - 1 rounds of ``_round_robin`` (m = n rounded up to even).
-    The rotations of one round act on disjoint pairs, so they commute and are
-    applied at once as one orthogonal ``rot``: a = rot.T @ a @ rot. Sweeps run
-    until the off-diagonal Frobenius norm is <= tol. Raises ConvergenceError
-    if the sweep budget runs out or the final eigenpair residual still exceeds
-    tol, and ValueError on non-square or non-symmetric input.
+    The solve is ``_jacobi`` on a stack of one. A sweep is the m - 1 rounds
+    of ``_round_robin`` (m = n rounded up to even). The rotations of one round
+    act on disjoint pairs, so they commute and are applied at once as one
+    orthogonal ``rot``: a = rot.T @ a @ rot. Sweeps run until the
+    off-diagonal Frobenius norm is <= tol. Raises ConvergenceError if the
+    sweep budget runs out or the final eigenpair residual still exceeds tol,
+    and ValueError on non-square or non-symmetric input.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -133,46 +231,7 @@ def eigen_max_symmetric(m, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEP
     scale = max(1.0, float(np.max(np.abs(original))))
     if float(np.max(np.abs(original - original.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-
-    a = (original + original.T) / 2.0
-    if n == 1:
-        return EigenResult(float(a[0, 0]), np.array([1.0]), 0.0)
-
-    v = np.eye(n)
-    rounds = list(zip(*_round_robin(n)))
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= tol:
-            converged = True
-            break
-        for p, q in rounds:
-            live = np.flatnonzero(a[p, q])
-            if not live.size:
-                continue
-            p, q = p[live], q[live]
-            apq, app, aqq = a[p, q], a[p, p], a[q, q]
-            with np.errstate(over="ignore"):  # a tiny a_pq overflows tau or |tau| + hypot to inf: t = 0, its limit
-                tau = (aqq - app) / (2.0 * apq)
-                # the small angle; hypot keeps sqrt(1 + tau^2) finite when tau^2 would overflow
-                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            rot = np.eye(n)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q], rot[q, p] = t * c, -t * c
-            a = rot.T @ a @ rot
-            a[p, q] = a[q, p] = 0.0
-            a[p, p], a[q, q] = app - t * apq, aqq + t * apq  # closed forms cut roundoff drift
-            v = v @ rot
-    if not converged and _off_norm(a) > tol:
-        raise ConvergenceError(f"no convergence within {max_sweeps} sweeps", _off_norm(a))
-
-    idx = int(np.argmax(np.diag(a)))
-    value = float(a[idx, idx])
-    vector = v[:, idx].copy()
-    residual = float(np.max(np.abs(original @ vector - value * vector)))
-    if residual > tol:
-        raise ConvergenceError("eigenpair residual exceeds tol", residual)
-    return EigenResult(value, vector, residual)
+    return _jacobi(original[None], tol, max_sweeps)[0]
 
 
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
@@ -201,8 +260,11 @@ def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralSummary:
         return kept
     if g.n < 1:
         raise ValueError("spectral_summary requires n >= 1")
-    ra = eigen_max_symmetric(adjacency_matrix(g), tol)
-    rq = eigen_max_symmetric(signless_laplacian_matrix(g), tol)
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    stack = _adjacency_stack(g, 2)  # A, and Q = D + A below
+    stack[1][np.diag_indices(g.n)] = g.degrees()
+    ra, rq = _jacobi(stack, tol, MAX_SWEEPS)
     g._spectra = SpectralSummary(rho=ra.value, q=rq.value, residual=max(ra.residual, rq.residual), tol=tol)
     return g._spectra
 

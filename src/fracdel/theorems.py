@@ -16,6 +16,7 @@ guard) and reports whether the pair is consistent, i.e. never
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -79,17 +80,19 @@ class TheoremReport:
         }
 
 
+@functools.lru_cache
 def extremal_spectra(n: int, a: int) -> tuple[float, float]:
-    """(rho, q) of extremal(n, a), for n >= a + 2, from its 3x3 equitable quotients.
+    """(rho, q) of extremal(n, a), for n >= a + 2, from its 3x3 equitable quotients; kept per (n, a).
 
     The cells are the K_a hub, the K_{n-a-1} clique and the low vertex. Both
     quotients are symmetrised with the square roots of the cell sizes, so
-    their top eigenvalues come from a symmetric solve.
+    their top eigenvalues come from one symmetric solve of the two.
     """
     c, s = math.sqrt(a * (n - a - 1)), math.sqrt(a)
     adj = np.array([[a - 1, c, s], [c, n - a - 2, 0], [s, 0, 0]])
     signless = adj + np.diag([n - 1.0, n - 2.0, a])  # add the cell degrees
-    return float(np.linalg.eigvalsh(adj)[-1]), float(np.linalg.eigvalsh(signless)[-1])
+    rho, q = np.linalg.eigvalsh(np.stack((adj, signless)))[:, -1]
+    return float(rho), float(q)
 
 
 # theorem id -> (needs a connected graph, the condition's own values from (n, a),

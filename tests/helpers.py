@@ -35,15 +35,15 @@ def gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def count_solves(monkeypatch) -> list[int]:
-    """The order of every matrix ``spectral_summary`` hands the eigensolver from now on, one entry a solve."""
+    """The order of every matrix the eigensolver kernel is handed from now on, one entry a stacked matrix."""
     solves = []
-    real = fracdel.spectral.eigen_max_symmetric
+    real = fracdel.spectral._jacobi
 
     def counted(m, *args, **kwargs):
-        solves.append(len(m))
+        solves.extend([m.shape[-1]] * len(m))
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(fracdel.spectral, "eigen_max_symmetric", counted)
+    monkeypatch.setattr(fracdel.spectral, "_jacobi", counted)
     return solves
 
 

@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,18 @@ import pytest
 
 import fracdel.cli
 import fracdel.theorems
-from fracdel import MATRIX_GUARD, ConvergenceError, Graph, complete, extremal, parse_graph6, scan, summarize, to_graph6
+from fracdel import (
+    MATRIX_GUARD,
+    ConvergenceError,
+    Graph,
+    complete,
+    extremal,
+    parse_graph6,
+    scan,
+    spectral_summary,
+    summarize,
+    to_graph6,
+)
 from fracdel.cli import main
 from helpers import cycle_graph, path_graph, star_graph
 
@@ -57,6 +70,18 @@ def test_spectral_json(capsys):
     assert data["feng_yu_bound"] == pytest.approx(4.0, abs=1e-9)
     code, out, _ = run(capsys, "spectral", "--graph6", "Bw", "--tol", "1e-12")
     assert code == 0 and json.loads(out)["tol"] == 1e-12
+
+
+def test_spectral_prints_a_readable_residual_and_tol_as_given(capsys):
+    rng = random.Random(20260816)  # the seeded G(32, 1/2) of the CI factor step
+    g = Graph(32, [e for e in combinations(range(32), 2) if rng.random() < 0.5])
+    summary = spectral_summary(g)
+    code, out, _ = run(capsys, "spectral", "--graph6", to_graph6(g))
+    data = json.loads(out)
+    assert code == 0 and 0 < data["residual"] == float(f"{summary.residual:.2e}")
+    assert (data["rho"], data["q"], data["tol"]) == (round(summary.rho, 12), round(summary.q, 12), 1e-10)
+    code, out, _ = run(capsys, "spectral", "--graph6", to_graph6(g), "--tol", "1e-13")
+    assert code == 0 and out.endswith(', "tol": 1e-13}\n') and json.loads(out)["tol"] == 1e-13
 
 
 def test_spectral_disconnected_has_null_feng_yu(capsys):

@@ -32,7 +32,7 @@ from fracdel import (
     spectral_summary,
     to_graph6,
 )
-from fracdel.spectral import _round_robin
+from fracdel.spectral import DEFAULT_TOL, MAX_SWEEPS, _jacobi, _round_robin
 from helpers import count_solves, cycle_graph, gnp, path_graph, random_connected, star_graph
 
 
@@ -148,6 +148,13 @@ def test_eigen_tiny_off_diagonal_rotates_by_zero_without_a_warning():
         assert abs(result.value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 and result.residual <= 1e-10
 
 
+def test_eigen_non_finite_input_raises():
+    for m in ([[np.inf, 1.0], [1.0, 0.0]], [[np.nan, 1.0], [1.0, 0.0]], [[0.0, np.nan], [np.nan, 0.0]]):
+        with pytest.raises(ConvergenceError) as ei, np.errstate(invalid="ignore"):
+            eigen_max_symmetric(m, max_sweeps=3)
+        assert math.isnan(ei.value.residual)
+
+
 def test_eigen_sweep_budget():
     rng = np.random.default_rng(23)
     m = _planted(rng, rng.uniform(-5, 5, size=12))
@@ -157,6 +164,35 @@ def test_eigen_sweep_budget():
     for n in (7, 32):  # the small-angle rotations converge quadratically
         m = adjacency_matrix(gnp(n, 0.5, random.Random(n)))
         assert eigen_max_symmetric(m, max_sweeps=8).residual <= 1e-10
+
+
+def test_spectral_summary_equals_the_solo_solves():
+    # A and Q leave the stack as each converges; both must come out as if solved alone
+    rng = random.Random(37)
+    graphs = [gnp(n, 0.5, rng) for n in (1, 2, 3, 7, 8, 13, 32)]
+    graphs += [disjoint_union(complete(3), path_graph(4)), disjoint_union(complete(4), complete(4)), extremal(9, 2)]
+    for g in graphs:
+        s = spectral_summary(g)
+        ra, rq = eigen_max_symmetric(adjacency_matrix(g)), eigen_max_symmetric(signless_laplacian_matrix(g))
+        assert (s.rho, s.q, s.residual) == (ra.value, rq.value, max(ra.residual, rq.residual))
+
+
+def test_stacked_matrices_leave_the_stack_as_they_converge():
+    rng = np.random.default_rng(41)
+    diagonal = np.diag(rng.uniform(-5, 5, size=12))  # converged before the first sweep
+    near = np.diag(np.arange(1.0, 13.0)) + 1e-6 * _planted(rng, rng.uniform(-1, 1, size=12))
+    planted = _planted(rng, rng.uniform(-5, 5, size=12))
+    assert _jacobi(diagonal[None], DEFAULT_TOL, 0)[0].residual == 0.0
+    with pytest.raises(ConvergenceError) as solo:
+        _jacobi(planted[None], DEFAULT_TOL, 1)
+    stack = np.stack((diagonal, near, planted))
+    for got, m in zip(_jacobi(stack, DEFAULT_TOL, MAX_SWEEPS), stack):
+        want = eigen_max_symmetric(m)
+        assert (got.value, got.residual) == (want.value, want.residual)
+        assert np.array_equal(got.vector, want.vector)
+    with pytest.raises(ConvergenceError) as stacked:  # the second matrix needs more than one sweep
+        _jacobi(np.stack((diagonal, planted)), DEFAULT_TOL, 1)
+    assert stacked.value.residual == solo.value.residual > 0
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -292,20 +328,23 @@ def test_spectral_summary_solves_once_per_graph_object_and_tol(monkeypatch):
 
 def test_a_failed_spectral_summary_is_not_kept(monkeypatch):
     g = complete(6)
-    real = fracdel.spectral.eigen_max_symmetric
+    real = fracdel.spectral._jacobi
 
     def fails_on_q(m, *args, **kwargs):
-        if m[0, 0] != 0.0:  # the signless Laplacian has the degrees on its diagonal
+        if any(x[0, 0] != 0.0 for x in m):  # the signless Laplacian has the degrees on its diagonal
             raise ConvergenceError("no convergence within 0 sweeps", 1.0)
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(fracdel.spectral, "eigen_max_symmetric", fails_on_q)
+    monkeypatch.setattr(fracdel.spectral, "_jacobi", fails_on_q)
     with pytest.raises(ConvergenceError):
         spectral_summary(g)
     assert g._spectra is None
-    monkeypatch.setattr(fracdel.spectral, "eigen_max_symmetric", real)
+    monkeypatch.setattr(fracdel.spectral, "_jacobi", real)
     solves = count_solves(monkeypatch)
     assert abs(spectral_summary(g).rho - 5.0) <= 1e-9 and len(solves) == 2
+    with pytest.raises(ValueError, match="tol must be positive"):
+        spectral_summary(g, 0.0)
+    assert g._spectra.tol == 1e-10 and len(solves) == 2
     for bad in (Graph(0), Graph(MATRIX_GUARD + 1)):
         with pytest.raises(ValueError):
             spectral_summary(bad)

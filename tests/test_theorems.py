@@ -1,6 +1,7 @@
 """Sufficient-condition reports, sharpness replay, dense enumeration, scanning."""
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -187,6 +188,16 @@ def test_extremal_spectra_match_the_matrix_solve(n, a):
     rho_star, q_star = extremal_spectra(n, a)
     assert abs(summary.rho - rho_star) <= 1e-12
     assert abs(summary.q - q_star) <= 1e-12
+
+
+def test_extremal_spectra_solved_once_per_n_and_a():
+    lines = [to_graph6(g) for g in itertools.islice(graphs_with_min_edges(7, 17), 10)]
+    extremal_spectra.cache_clear()
+    records = list(scan(lines, "1.6", 2, 3))
+    assert extremal_spectra.cache_info().misses == 1
+    want = extremal_spectra.__wrapped__(7, 2)
+    assert [r.report.hypothesis_values["q_extremal"] for r in records] == [want[1]] * 10
+    assert extremal_spectra(7, 2) == want
 
 
 # --- dense enumeration -----------------------------------------------------------
