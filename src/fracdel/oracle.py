@@ -179,6 +179,8 @@ def _vertex_tuple(graph: Graph, vs: Iterable[int], name: str) -> tuple[int, ...]
 
 def _bounds_vectors(graph: Graph, g, f) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Normalize g and f (int constants or per-vertex sequences) to tuples."""
+    if type(g) is int and type(f) is int and (0 <= g <= f or not graph.n):
+        return (g,) * graph.n, (f,) * graph.n  # the common case; a bad pair falls through to the error below
 
     def vec(x, name: str) -> tuple[int, ...]:
         if isinstance(x, (int, np.integer)):
@@ -410,36 +412,55 @@ def _subset_deleted(graph: Graph, a: int, b: int):
 # without breaking a bound (an other-side vertex below f, or an own-side
 # vertex above g). Flipping raises the root by one and moves no other degree
 # of its side below g, so the first side stays raised while the second is.
+#
+# Only vertices below g are visited as roots. The greedy start reports them:
+# the left vertices it could not fill, and its final mask of right copies
+# still below g. A flip on the left side leaves every inner right copy's
+# degree as it was and raises the right copy it ends at, so no right degree
+# falls while the left side is raised, and the right vertices below g
+# afterwards are among those the greedy start left below g. A repair drops
+# the arcs u -> v' and v -> u' from a factor, so only u and v can be below g,
+# on either side.
 
 
 def _greedy_start(
     adj: Sequence[int], gv: Sequence[int], fv: Sequence[int], avoid: Sequence[int] | None = None
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], int, int]:
     """Give each left vertex up to g lowest-numbered neighbours whose right copy has room,
-    taking right copies still below g first, and neighbours in avoid[u], if given, last."""
+    taking right copies still below g first, and neighbours in avoid[u], if given, last.
+
+    Returns (out, into, short, below): the arc masks, the mask of left vertices
+    left below g, and the mask of right copies left below g.
+    """
     n = len(adj)
-    out, into = [0] * n, [0] * n
-    below = sum(1 << v for v in range(n) if gv[v] > 0)
-    room = sum(1 << v for v in range(n) if fv[v] > 0)
+    out, into, deg = [0] * n, [0] * n, [0] * n
+    full = (1 << n) - 1
+    below = full if all(gv) else sum(1 << v for v in range(n) if gv[v] > 0)
+    room = full if all(fv) else sum(1 << v for v in range(n) if fv[v] > 0)
+    short = 0
     for u in range(n):
         rest = adj[u]
         free = rest & ~avoid[u] if avoid else rest
+        u_bit, taken = 1 << u, 0
         for _ in range(gv[u]):
             pick = free & below or free & room or rest & below or rest & room
             if not pick:
+                short |= u_bit
                 break
             low = pick & -pick
             v = low.bit_length() - 1
-            out[u] |= low
+            taken |= low
             free &= ~low
             rest ^= low
-            into[v] |= 1 << u
-            d = into[v].bit_count()
+            into[v] |= u_bit
+            d = deg[v] + 1
+            deg[v] = d
             if d == gv[v]:
                 below ^= low
             if d == fv[v]:
                 room ^= low
-    return out, into
+        out[u] = taken
+    return out, into, short, below
 
 
 def _alternating_path(adj, gv, fv, own, other, root: int) -> list[int] | None:
@@ -497,9 +518,10 @@ def _flip(path: list[int], own: list[int], other: list[int]) -> None:
         other[y] ^= 1 << x
 
 
-def _raise_to_g(adj, gv, fv, own: list[int], other: list[int]) -> bool:
-    """Raise every own-side vertex to g by flipping alternating paths; False if one cannot be."""
-    for root in range(len(adj)):
+def _raise_to_g(adj, gv, fv, own: list[int], other: list[int], roots: int) -> bool:
+    """Raise the own-side vertices in roots to g, in increasing order, by flipping alternating
+    paths; False if one cannot be. Every own-side vertex outside roots must already be at g or above."""
+    for root in _bits(roots):
         while own[root].bit_count() < gv[root]:
             path = _alternating_path(adj, gv, fv, own, other, root)
             if path is None:
@@ -510,8 +532,8 @@ def _raise_to_g(adj, gv, fv, own: list[int], other: list[int]) -> bool:
 
 def _double_cover_factor(adj, gv, fv, avoid=None) -> tuple[list[int], list[int]] | None:
     """A (g, f)-factor of the double cover as (out, into) masks, or None if there is none."""
-    out, into = _greedy_start(adj, gv, fv, avoid)
-    if _raise_to_g(adj, gv, fv, out, into) and _raise_to_g(adj, gv, fv, into, out):
+    out, into, short, below = _greedy_start(adj, gv, fv, avoid)
+    if _raise_to_g(adj, gv, fv, out, into, short) and _raise_to_g(adj, gv, fv, into, out, below):
         return out, into
     return None
 
@@ -533,7 +555,7 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     """
     n = graph.n
     gv, fv = (a,) * n, (b,) * n
-    adj = [graph.adjacency_mask(v) for v in range(n)]
+    adj = list(graph._rows)
     found = _double_cover_factor(adj, gv, fv)
     if found is None:
         return False
@@ -553,7 +575,8 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
                 adj_e[x] ^= 1 << y
                 out[x] &= ~(1 << y)
                 into[y] &= ~(1 << x)
-            if not (_raise_to_g(adj_e, gv, fv, out, into) and _raise_to_g(adj_e, gv, fv, into, out)):
+            ends = 1 << u | 1 << v  # the only vertices, on either side, that lost an arc
+            if not (_raise_to_g(adj_e, gv, fv, out, into, ends) and _raise_to_g(adj_e, gv, fv, into, out, ends)):
                 return False
     return True
 

@@ -2,8 +2,9 @@
 
 The cross-check oracles here (the per-edge definition of "deleted", the
 subset criterion alone, the lower-bound flow network for fractional factors,
-the weight-table check of a certificate, the 3^n integer (g, f)-factor test
-and the edge-list enumeration of dense graphs) are the references the tests
+the weight-table check of a certificate, the double-cover build that visits
+every vertex as a root, the 3^n integer (g, f)-factor test and the edge-list
+enumeration of dense graphs) are the references the tests
 compare the library's routes against; the library itself does not use them,
 except that it reports a refutation's witness through the same subset scan.
 """
@@ -15,7 +16,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 import fracdel.spectral
-from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected
+from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected, oracle
 from fracdel.graph import _bits
 from fracdel.maxflow import feasible_flow
 from fracdel.oracle import (
@@ -161,6 +162,46 @@ def find_fractional_factor_by_flow(graph: Graph, g, f) -> FractionalAssignment |
         out[u] |= flows[edge_base + 2 * k] << v  # the arc u -> v' carries flow
         out[v] |= flows[edge_base + 2 * k + 1] << u
     return FractionalAssignment(graph._rows, tuple(out))
+
+
+def reference_double_cover_factor(adj, gv, fv, avoid=None) -> tuple[list[int], list[int]] | None:
+    """Reference for ``oracle._double_cover_factor``, with no deficit masks passed forward.
+
+    The greedy start rebuilds its masks from the bounds and counts each right
+    copy's degree with a popcount, and each side's raise visits every vertex
+    in increasing order, checking its degree by popcount. The searches and
+    flips go through the ``oracle`` module, so a test can record them.
+    """
+    n = len(adj)
+    out, into = [0] * n, [0] * n
+    below = sum(1 << v for v in range(n) if gv[v] > 0)
+    room = sum(1 << v for v in range(n) if fv[v] > 0)
+    for u in range(n):
+        rest = adj[u]
+        free = rest & ~avoid[u] if avoid else rest
+        for _ in range(gv[u]):
+            pick = free & below or free & room or rest & below or rest & room
+            if not pick:
+                break
+            low = pick & -pick
+            v = low.bit_length() - 1
+            out[u] |= low
+            free &= ~low
+            rest ^= low
+            into[v] |= 1 << u
+            d = into[v].bit_count()
+            if d == gv[v]:
+                below ^= low
+            if d == fv[v]:
+                room ^= low
+    for own, other in ((out, into), (into, out)):
+        for root in range(n):
+            while own[root].bit_count() < gv[root]:
+                path = oracle._alternating_path(adj, gv, fv, own, other, root)
+                if path is None:
+                    return None
+                oracle._flip(path, own, other)
+    return out, into
 
 
 def satisfies_by_halves(halves: dict[tuple[int, int], int], graph: Graph, g, f) -> bool:

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fracdel import (
@@ -36,6 +37,7 @@ from helpers import (
     is_fractional_ab_deleted_by_edges,
     is_fractional_ab_deleted_by_subsets,
     path_graph,
+    reference_double_cover_factor,
     satisfies_by_halves,
     star_graph,
 )
@@ -304,9 +306,9 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
     states = {}  # (adjacency list, pair of side lists) ids -> (adjacency, out, into) as first raised
     raise_to_g = oracle._raise_to_g
 
-    def recording(adj, gv, fv, own, other):
+    def recording(adj, gv, fv, own, other, roots):
         states.setdefault((id(adj), frozenset((id(own), id(other)))), (adj, own, other))
-        return raise_to_g(adj, gv, fv, own, other)
+        return raise_to_g(adj, gv, fv, own, other, roots)
 
     monkeypatch.setattr(oracle, "_raise_to_g", recording)
     rng = random.Random(5504)
@@ -594,12 +596,76 @@ def test_flow_certificate_repairs_a_greedy_deficit_with_a_long_path():
     # which leaves left 1 (whose only neighbour is 2') with nothing
     g = Graph(4, [(0, 2), (0, 3), (1, 2)])
     adj = [g.adjacency_mask(v) for v in range(4)]
-    out, into = _greedy_start(adj, [1] * 4, [1] * 4)
+    out, into, short, below = _greedy_start(adj, [1] * 4, [1] * 4)
     assert out[1] == 0
+    # left 3's only neighbour 0' went to left 2, so 1 and 3 are short on the left,
+    # and 1' and 3', which no left vertex took, on the right
+    assert set(_bits(short)) == {1, 3} and set(_bits(below)) == {1, 3}
+    assert all((out[u].bit_count() < 1) == (short >> u & 1) for u in range(4))
+    assert all((into[v].bit_count() < 1) == (below >> v & 1) for v in range(4))
     assert _alternating_path(adj, [1] * 4, [1] * 4, out, into, 1) == [1, 2, 0, 3]  # 3 edges: 1-2' 2'-0 0-3'
     fa = find_fractional_factor(g, 1, 1)
     assert fa is not None and fa.satisfies(g, 1, 1)
     assert fa.halves == {(0, 2): 0, (0, 3): 2, (1, 2): 2}
+
+
+def test_double_cover_factor_matches_the_build_that_visits_every_root(monkeypatch):
+    # the greedy start's deficit masks only skip roots that are already at g, so every
+    # search, on the same state and in the same order, and every factor stay as they
+    # were when each side's raise visited all n vertices
+    searches = []
+    alternating_path = oracle._alternating_path
+
+    def recording(adj, gv, fv, own, other, root):
+        path = alternating_path(adj, gv, fv, own, other, root)
+        searches.append((root, tuple(own), tuple(other), path))
+        return path
+
+    monkeypatch.setattr(oracle, "_alternating_path", recording)
+    rng = random.Random(5513)
+    cases = searched = refuted = with_avoid = 0
+    for n in (7, 12, 16, 18, 32):
+        for p in (0.2, 0.35, 0.5, 0.8):
+            for _ in range(3):
+                g = gnp(n, p, rng)
+                adj = list(g._rows)
+                lo = [rng.randint(0, 3) for _ in range(n)]
+                for a, b in ((1, 3), (2, 3), (3, 3), (0, 2), (lo, [x + rng.randint(0, 2) for x in lo])):
+                    gv, fv = oracle._bounds_vectors(g, a, b)
+                    first = reference_double_cover_factor(adj, gv, fv)
+                    avoids = [None, [r & rng.getrandbits(n) for r in adj]]
+                    if first is not None:
+                        avoids.append([o | i for o, i in zip(*first)])
+                    for avoid in avoids:
+                        searches.clear()
+                        want = reference_double_cover_factor(adj, gv, fv, avoid)
+                        want_searches = searches.copy()
+                        searches.clear()
+                        got = oracle._double_cover_factor(adj, gv, fv, avoid)
+                        assert got == want and searches == want_searches, (g, a, b, avoid)
+                        cases += 1
+                        searched += bool(searches)
+                        refuted += got is None
+                        with_avoid += avoid is not None
+    assert cases == 825 and searched > 500 and refuted > 100 and with_avoid > 500, (cases, searched, refuted, with_avoid)
+
+
+def test_bounds_vectors_plain_ints_and_their_lookalikes():
+    g = cycle_graph(5)
+    # the constant fast path keeps the per-vertex check's message, at vertex 0
+    for lo, hi in ((3, 2), (-1, 1)):
+        with pytest.raises(ValueError) as info:
+            find_fractional_factor(g, lo, hi)
+        assert str(info.value) == f"need 0 <= g(v) <= f(v) at vertex 0, got {lo}, {hi}"
+    with pytest.raises(ValueError, match=r"at vertex 2, got 2, 1"):
+        find_fractional_factor(g, [1, 1, 2, 1, 1], 1)
+    # bool and numpy integers take the general path and must give the same certificate
+    want = find_fractional_factor(g, 1, 2)
+    assert want is not None
+    for lo, hi in ((True, 2), (np.int64(1), np.int64(2)), (1, np.int64(2)), ([1] * 5, (2,) * 5)):
+        assert find_fractional_factor(g, lo, hi) == want, (lo, hi)
+        assert want.satisfies(g, lo, hi)
+    assert find_fractional_factor(g, False, True) == find_fractional_factor(g, 0, 1)
 
 
 def test_flow_certificate_hall_exit():
@@ -607,8 +673,9 @@ def test_flow_certificate_hall_exit():
     # and Y = {0} on the right, and g(X) = 2 > f(Y) + e(X, outside Y) = 1 + 0
     g = star_graph(3)
     adj = [g.adjacency_mask(v) for v in range(4)]
-    out, into = _greedy_start(adj, [1] * 4, [1] * 4)
+    out, into, short, below = _greedy_start(adj, [1] * 4, [1] * 4)
     assert (out[2], out[3]) == (0, 0)
+    assert set(_bits(short)) == {2, 3} and set(_bits(below)) == {2, 3}  # right 0' took left 1, 1' took left 0
     assert _alternating_path(adj, [1] * 4, [1] * 4, out, into, 2) is None
     x, y = {1, 2}, {0}
     assert len(x) > len(y) + sum(1 for u in x for v in g.neighbors(u) if v not in y)
