@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import re
+import weakref
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -53,7 +54,7 @@ class Graph:
     impossible by construction and self-loops are rejected.
     """
 
-    __slots__ = ("n", "_rows", "_edge_count", "_spectra")
+    __slots__ = ("n", "_rows", "_edge_count", "_spectra", "_origin", "_start", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 0:
@@ -71,15 +72,19 @@ class Graph:
         self._rows = tuple(rows)
         self._edge_count = sum(r.bit_count() for r in rows) // 2
         self._spectra = None  # the last spectral.spectral_summary of this object
+        self._origin = None  # (weak reference to G, u, v) when made by delete_edge(G, u, v)
+        self._start = None  # ((g, f), start): the last oracle greedy start of this object
 
     @classmethod
-    def _from_rows(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+    def _from_rows(cls, n: int, rows: tuple[int, ...], edge_count: int | None = None) -> "Graph":
         # trusted fast path: rows must already be a consistent symmetric bitmask table
         g = object.__new__(cls)
         g.n = n
         g._rows = rows
-        g._edge_count = sum(map(int.bit_count, rows)) // 2
+        g._edge_count = sum(map(int.bit_count, rows)) // 2 if edge_count is None else edge_count
         g._spectra = None
+        g._origin = None
+        g._start = None
         return g
 
     @property
@@ -137,6 +142,10 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self._rows))
+
+    def __reduce__(self):
+        # the memos and the weak reference to a parent are not part of the value
+        return Graph._from_rows, (self.n, self._rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, e={self._edge_count})"
@@ -202,13 +211,22 @@ def extremal(n: int, a: int) -> Graph:
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    """G - uv. The edge must exist."""
+    """G - uv. The edge must exist.
+
+    The result remembers its parent G, by a weak reference, and the deleted
+    edge, so ``find_fractional_factor`` can reuse G's greedy start while G
+    is alive. Neither is part of its value: equality and hashing see only
+    n and the edges.
+    """
+    u, v = int(u), int(v)  # as Graph() does; a numpy integer would leak into the rows
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not in graph")
     rows = list(g._rows)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    return Graph._from_rows(g.n, tuple(rows))
+    h = Graph._from_rows(g.n, tuple(rows), g._edge_count - 1)
+    h._origin = weakref.ref(g), u, v
+    return h
 
 
 def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -180,7 +181,7 @@ def _vertex_tuple(graph: Graph, vs: Iterable[int], name: str) -> tuple[int, ...]
 def _bounds_vectors(graph: Graph, g, f) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Normalize g and f (int constants or per-vertex sequences) to tuples."""
     if type(g) is int and type(f) is int and (0 <= g <= f or not graph.n):
-        return (g,) * graph.n, (f,) * graph.n  # the common case; a bad pair falls through to the error below
+        return _constant(g, graph.n), _constant(f, graph.n)  # the common case; a bad pair falls through to the error below
 
     def vec(x, name: str) -> tuple[int, ...]:
         if isinstance(x, (int, np.integer)):
@@ -195,6 +196,12 @@ def _bounds_vectors(graph: Graph, g, f) -> tuple[tuple[int, ...], tuple[int, ...
         if not 0 <= gv[v] <= fv[v]:
             raise ValueError(f"need 0 <= g(v) <= f(v) at vertex {v}, got {gv[v]}, {fv[v]}")
     return gv, fv
+
+
+@lru_cache(maxsize=64)
+def _constant(x: int, n: int) -> tuple[int, ...]:
+    # one shared tuple per constant bound, so a graph's greedy-start memo does not hold its own copy
+    return (x,) * n
 
 
 def _check_subset_guard(n: int, max_n: int | None) -> None:
@@ -530,9 +537,17 @@ def _raise_to_g(adj, gv, fv, own: list[int], other: list[int], roots: int) -> bo
     return True
 
 
-def _double_cover_factor(adj, gv, fv, avoid=None) -> tuple[list[int], list[int]] | None:
-    """A (g, f)-factor of the double cover as (out, into) masks, or None if there is none."""
-    out, into, short, below = _greedy_start(adj, gv, fv, avoid)
+def _double_cover_factor(adj, gv, fv, avoid=None, start=None) -> tuple[list[int], list[int]] | None:
+    """A (g, f)-factor of the double cover as (out, into) masks, or None if there is none.
+
+    ``start``, if given, is the greedy start (out, into, short, below) of adj at
+    these bounds, with no avoid; the raises work on copies of its masks.
+    """
+    if start is None:
+        out, into, short, below = _greedy_start(adj, gv, fv, avoid)
+    else:
+        out, into, short, below = start
+        out, into = list(out), list(into)
     if _raise_to_g(adj, gv, fv, out, into, short) and _raise_to_g(adj, gv, fv, into, out, below):
         return out, into
     return None
@@ -581,6 +596,37 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     return True
 
 
+def _own_start(graph: Graph, gv, fv) -> tuple:
+    """The greedy start of graph at (gv, fv), its masks as tuples: graph's memo when that
+    is for these bounds, else built from graph's rows and memoised."""
+    kept = graph._start
+    if kept is None or kept[0] != (gv, fv):
+        out, into, short, below = _greedy_start(graph._rows, gv, fv)
+        kept = graph._start = (gv, fv), (tuple(out), tuple(into), short, below)
+    return kept[1]
+
+
+def _start_of(graph: Graph, gv, fv) -> tuple:
+    """The greedy start of graph at (gv, fv), taken from its parent where that is exact.
+
+    A graph made by ``delete_edge(P, u, v)``, with P still alive, has P's greedy
+    start whenever that start picked neither u -> v' nor v -> u'. Each pick is
+    the lowest bit of the first nonempty of four masks, and v (or u) is never
+    that bit, so dropping it from u's row (or u from v's) changes no pick, no
+    degree and no deficit mask. P's start is memoised on P, so every G - e
+    taken from one G shares one greedy pass.
+    """
+    kept = graph._start
+    if (kept is None or kept[0] != (gv, fv)) and graph._origin is not None:
+        ref, u, v = graph._origin
+        parent = ref()
+        if parent is not None:
+            start = _own_start(parent, gv, fv)
+            if not (start[0][u] >> v & 1 or start[0][v] >> u & 1):
+                graph._start = (gv, fv), start
+    return _own_start(graph, gv, fv)
+
+
 def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     """Constructive route: a half-integral fractional (g, f)-factor, or None.
 
@@ -591,12 +637,14 @@ def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     [v -> u' in F]) / 2 is one; a failed search is a Hall-type proof that
     none exists, so this agrees with ``has_fractional_gf_factor`` on every
     input. The certificate holds F itself, as G's row masks and F's
-    left-side arc masks, so building it costs no pass over the edges. Each
-    call builds F from scratch.
+    left-side arc masks, so building it costs no pass over the edges. It is
+    the certificate a build from scratch returns, bit for bit; only the
+    greedy start is shared: G keeps its last one, and a G made by
+    ``delete_edge`` takes its parent's while that is exact (see ``_start_of``).
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    found = _double_cover_factor(graph._rows, gv, fv)
+    found = _double_cover_factor(graph._rows, gv, fv, start=_start_of(graph, gv, fv))
     if found is None:
         return None
     out, _ = found

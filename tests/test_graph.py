@@ -1,8 +1,11 @@
 """Graph type, constructors, and set-based counting operations."""
 
+import copy
+import pickle
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fracdel import (
@@ -15,6 +18,7 @@ from fracdel import (
     delete_vertices,
     disjoint_union,
     extremal,
+    find_fractional_factor,
     is_connected,
     join,
 )
@@ -127,6 +131,26 @@ def test_delete_edge():
     assert g.edge_count == 6  # original untouched
     with pytest.raises(ValueError):
         delete_edge(h, 0, 1)
+    # numpy integers name the same edge, past 63 vertices too, and leave plain int rows
+    for n in (6, 70):
+        big = complete(n)
+        h = delete_edge(big, np.int64(0), np.int64(n - 1))
+        assert h == delete_edge(big, 0, n - 1) and all(type(r) is int for r in h._rows)
+        assert h.edge_count == big.edge_count - 1 and find_fractional_factor(h, 1, 3) is not None
+
+
+def test_delete_edge_remembers_its_parent_outside_its_value():
+    g = gnp(12, 0.5, random.Random(7))
+    u, v = next(g.edges())
+    h = delete_edge(g, u, v)
+    same = Graph(12, set(g.edges()) - {(u, v)})
+    find_fractional_factor(h, 1, 2)  # fills h's greedy-start memo
+    assert h._origin[0]() is g and h._start is not None
+    assert same._origin is None and same._start is None
+    assert h == same and hash(h) == hash(same) and h.edge_count == same.edge_count == g.edge_count - 1
+    # a copy or a pickle is the graph alone, without the memos or the parent
+    for twin in (copy.copy(h), pickle.loads(pickle.dumps(h))):
+        assert twin == h and (twin._origin, twin._start, twin._spectra) == (None, None, None)
 
 
 def test_delete_vertices():

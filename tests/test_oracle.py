@@ -407,8 +407,8 @@ def test_deleted_agrees_with_per_edge_certificates_where_the_factors_overlap(mon
     builds = []  # per double-cover build: (whether it was F1, whether it found a factor, whether it met supp(F0))
     double_cover_factor = oracle._double_cover_factor
 
-    def recording(adj, gv, fv, avoid=None):
-        found = double_cover_factor(adj, gv, fv, avoid)
+    def recording(adj, gv, fv, avoid=None, start=None):
+        found = double_cover_factor(adj, gv, fv, avoid, start)
         meets = avoid is not None and found is not None and any(a & (o | i) for a, o, i in zip(avoid, *found))
         builds.append((avoid is not None, found is not None, meets))
         return found
@@ -589,6 +589,62 @@ def test_per_edge_certificates_of_a_large_graph_are_small():
     assert all(c is not None for c in certs)
     # a weight table of ~250 tuple-keyed entries per certificate would take several MiB here
     assert peak < 512 * 1024, peak
+
+
+def test_per_edge_certificates_are_those_of_a_build_from_scratch():
+    # a G - e made by delete_edge takes G's greedy start unless that start picked one of
+    # e's arcs; its certificate must still be the one a graph with no parent gets, under
+    # bounds that change between calls on one G, with and without G's own certificate
+    # built first, down chains of two deletions, and once G itself is gone
+    rng = random.Random(5521)
+    inherited = rebuilt = chains = 0
+    for n in (7, 12, 16, 32):
+        for p in (0.3, 0.5, 0.8):
+            g = gnp(n, p, rng)
+            lo = [rng.randint(0, 3) for _ in range(n)]
+            bounds = [(1, 3), (2, 3), (3, 3), (0, 2), (lo, [x + rng.randint(0, 2) for x in lo])]
+            for own_first in (False, True):
+                for a, b in bounds:
+                    if own_first:
+                        find_fractional_factor(g, a, b)
+                    for k, (u, v) in enumerate(g.edges()):
+                        h = delete_edge(g, u, v)
+                        got = find_fractional_factor(h, a, b)
+                        assert got == find_fractional_factor(Graph._from_rows(n, h._rows), a, b), (g, a, b, u, v)
+                        shared = h._start[1] is g._start[1]
+                        inherited += shared
+                        rebuilt += not shared
+                        if k % 7 or h.edge_count == 0:
+                            continue
+                        x, y = next(h.edges())
+                        for parent in (h, delete_edge(g, u, v)):  # with and without its own start
+                            h2 = delete_edge(parent, x, y)
+                            assert find_fractional_factor(h2, a, b) == find_fractional_factor(
+                                Graph._from_rows(n, h2._rows), a, b
+                            ), (g, a, b, u, v, x, y)
+                            chains += 1
+    orphan = delete_edge(Graph._from_rows(g.n, g._rows), u, v)
+    assert orphan._origin[0]() is None
+    assert find_fractional_factor(orphan, 1, 3) == find_fractional_factor(Graph._from_rows(g.n, orphan._rows), 1, 3)
+    assert inherited > 9000 and rebuilt > 1000 and chains > 3000, (inherited, rebuilt, chains)
+
+
+def test_every_g_minus_e_shares_the_greedy_start_of_g_unless_it_picked_the_edge(monkeypatch):
+    # the G(32, 1/2) of the CI factor step: at (1, 3) the start of G picks an arc of 17
+    # of its 251 edges, so G and all its G - e need 1 + 17 greedy passes
+    calls = []
+    greedy_start = oracle._greedy_start
+
+    def counted(*args):
+        calls.append(args)
+        return greedy_start(*args)
+
+    monkeypatch.setattr(oracle, "_greedy_start", counted)
+    r = random.Random(20260816)
+    g = Graph(32, [e for e in combinations(range(32), 2) if r.random() < 0.5])
+    assert find_fractional_factor(g, 1, 3) is not None
+    assert all(find_fractional_factor(delete_edge(g, u, v), 1, 3) is not None for u, v in g.edges())
+    assert g.edge_count == 251 and len(calls) == 18
 
 
 def test_flow_certificate_repairs_a_greedy_deficit_with_a_long_path():
