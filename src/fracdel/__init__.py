@@ -37,16 +37,12 @@ from .spectral import (
     DEFAULT_TOL,
     MATRIX_GUARD,
     ConvergenceError,
-    EigenResult,
     SpectralSummary,
     adjacency_matrix,
-    eigen_max_symmetric,
     feng_yu_bound,
     hsf_bound,
     hsf_bound_at,
     signless_laplacian_matrix,
-    signless_laplacian_radius,
-    spectral_radius,
     spectral_summary,
 )
 from .theorems import (

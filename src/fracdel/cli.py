@@ -4,8 +4,9 @@ Exit codes: 0 success (property holds / scan clean), 1 property false or
 inconsistent, 2 usage or input errors, 3 scan found a counterexample.
 Data goes to stdout, diagnostics to stderr. Floats in JSON output are
 rounded to 12 decimal places so identical inputs give byte-identical
-reports, except ``spectral``'s residual (3 significant digits) and tol (as
-given).
+reports, except ``spectral``'s residual (3 significant digits) and tol (the
+eigensolver's fixed tolerance, ``spectral.DEFAULT_TOL``, as written). No
+command takes a tolerance.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from .graph import Graph, Graph6Error, _graph6_size, complete, extremal, is_connected, parse_graph6, to_graph6
+from .graph import Graph, Graph6Error, complete, extremal, is_connected, parse_graph6, to_graph6
 from .oracle import SizeGuardError, find_fractional_factor, is_fractional_ab_deleted
-from .spectral import DEFAULT_TOL, ConvergenceError, _check_matrix_guard, feng_yu_bound, hsf_bound, spectral_summary
+from .spectral import DEFAULT_TOL, ConvergenceError, _check_graph6_guard, feng_yu_bound, hsf_bound, spectral_summary
 from .theorems import (
     THEOREM_IDS,
     SharpnessError,
@@ -94,7 +95,7 @@ def _read_one_dense_graph(args) -> Graph:
     """The input graph for a command that needs rho and q: a line past the spectral
     ceiling is refused from its size field, before its payload is decoded."""
     line = _read_one_line(args)
-    _check_matrix_guard(_graph6_size(line.rstrip("\r\n"))[0])
+    _check_graph6_guard(line)
     return parse_graph6(line)
 
 
@@ -117,13 +118,13 @@ def _cmd_construct(args) -> int:
 
 def _cmd_spectral(args) -> int:
     graph = _read_one_dense_graph(args)
-    summary = spectral_summary(graph, args.tol)
+    summary = spectral_summary(graph)
     fy = feng_yu_bound(graph) if graph.n >= 2 and is_connected(graph) else None
     rounded = _round_floats(
         {"n": graph.n, "rho": summary.rho, "q": summary.q, "hsf_bound": hsf_bound(graph), "feng_yu_bound": fy}
     )
-    # both are far below the 12-decimal rounding: the residual prints to 3 significant digits, tol as given
-    print(json.dumps({**rounded, "residual": float(f"{summary.residual:.2e}"), "tol": summary.tol}))
+    # both are far below the 12-decimal rounding: the residual prints to 3 significant digits, tol as written
+    print(json.dumps({**rounded, "residual": float(f"{summary.residual:.2e}"), "tol": DEFAULT_TOL}))
     return 0
 
 
@@ -227,7 +228,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="spectral radius, signless Laplacian radius, and bounds")
     _add_graph_input(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(handler=_cmd_spectral)
 
     p = sub.add_parser("check", help="decide whether the graph is fractional [a,b]-deleted")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import operator
 import re
 import weakref
 from typing import Iterable, Iterator
@@ -71,7 +72,7 @@ class Graph:
         self.n = n
         self._rows = tuple(rows)
         self._edge_count = sum(r.bit_count() for r in rows) // 2
-        self._spectra = None  # the last spectral.spectral_summary of this object
+        self._spectra = None  # spectral.spectral_summary of this object, once solved
         self._origin = None  # (weak reference to G, u, v) when made by delete_edge(G, u, v)
         self._start = None  # ((g, f), start): the last oracle greedy start of this object
 
@@ -103,6 +104,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = operator.index(u), operator.index(v)  # a numpy integer past 63 would overflow the shift
         self._check_vertex(u)
         self._check_vertex(v)
         return bool(self._rows[u] >> v & 1)

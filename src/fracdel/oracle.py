@@ -37,6 +37,7 @@ and a lower-bound max-flow network for the certificate route.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -125,6 +126,7 @@ class FractionalAssignment:
 
     def weight(self, u: int, v: int) -> Fraction:
         """h(uv) / 2; KeyError when uv is not an edge."""
+        u, v = operator.index(u), operator.index(v)  # a numpy integer past 63 would overflow the shift
         n = len(self.rows)
         if not (0 <= u < n and 0 <= v < n and self.rows[u] >> v & 1):
             raise KeyError((u, v) if u < v else (v, u))
@@ -132,7 +134,7 @@ class FractionalAssignment:
 
     def vertex_numerator(self, v: int) -> int:
         """Twice the weighted degree of v: its arcs v -> x' plus the arcs x -> v'; IndexError off 0..n-1."""
-        n = len(self.out)
+        v, n = operator.index(v), len(self.out)  # a numpy integer past 63 would overflow the shift
         if not (0 <= v < n):
             raise IndexError(f"vertex {v} out of range for n={n}")
         return self.out[v].bit_count() + sum(o >> v & 1 for o in self.out)

@@ -4,14 +4,13 @@
 sweeps in the parallel (round-robin) order, and each round applies its
 disjoint rotations to all k matrices at once, as one batched product with
 orthogonal matrices. A matrix leaves the stack once it has converged.
-``spectral_summary`` hands it A and D + A as one stack of two, and
-``eigen_max_symmetric`` a stack of one.
+``spectral_summary``, the one way to rho and q, hands it A and D + A as one
+stack of two at the fixed tolerance ``DEFAULT_TOL``.
 
-``spectral_summary`` solves rho and q of a graph once per Graph object and
-tol: the result is kept on the graph itself and returned by later calls with
-the same tol, so evaluating several conditions on one graph pays one pair of
-solves. A failed solve is not kept. ``spectral_radius`` and
-``signless_laplacian_radius`` always solve.
+``spectral_summary`` solves rho and q of a graph once per Graph object: the
+result is kept on the graph itself and returned by later calls, so
+evaluating several conditions on one graph pays one pair of solves. A failed
+solve is not kept.
 """
 
 from __future__ import annotations
@@ -19,23 +18,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, is_connected
+from .graph import Graph, _graph6_size, is_connected
 
 __all__ = [
     "DEFAULT_TOL",
     "MATRIX_GUARD",
     "ConvergenceError",
-    "EigenResult",
     "SpectralSummary",
     "adjacency_matrix",
     "signless_laplacian_matrix",
-    "eigen_max_symmetric",
-    "spectral_radius",
-    "signless_laplacian_radius",
     "spectral_summary",
     "hsf_bound",
     "hsf_bound_at",
@@ -57,30 +51,28 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class EigenResult(NamedTuple):
-    value: float
-    vector: np.ndarray
-    residual: float
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
     """Adjacency spectral radius and signless Laplacian radius of one graph.
 
     ``residual`` is the larger of the two eigenpair residuals |Mx - λx|_inf;
-    it is guaranteed <= ``tol``.
+    it is guaranteed <= ``DEFAULT_TOL``.
     """
 
     rho: float
     q: float
     residual: float
-    tol: float
 
 
 def _check_matrix_guard(n: int) -> None:
     """ValueError when an n-vertex graph is past MATRIX_GUARD."""
     if n > MATRIX_GUARD:
         raise ValueError(f"n={n} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices")
+
+
+def _check_graph6_guard(line: str) -> None:
+    """ValueError when a graph6 line's size field is past MATRIX_GUARD, read before its payload is decoded."""
+    _check_matrix_guard(_graph6_size(line.rstrip("\r\n"))[0])
 
 
 def _adjacency_stack(g: Graph, k: int) -> np.ndarray:
@@ -137,8 +129,8 @@ def _schedule(n: int) -> list[np.ndarray]:
     return [np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))[:, None] for p, q in zip(*_round_robin(n))]
 
 
-def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[EigenResult]:
-    """Top eigenpair of each matrix of a (k, n, n) stack of symmetric matrices, by parallel-ordered Jacobi.
+def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, float]]:
+    """(top eigenvalue, residual) per matrix of a (k, n, n) stack of symmetric matrices, by parallel-ordered Jacobi.
 
     All k matrices sweep together: each round's angles are (k, h) arrays for
     its h pairs, and its rotations are applied as one batched product,
@@ -170,7 +162,7 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[EigenResult]:
                     residual = float(np.max(np.abs(m[left[j]] @ vector - value * vector)))
                     if not residual <= tol:  # a NaN residual fails too
                         raise ConvergenceError("eigenpair residual exceeds tol", residual)
-                    results[left[j]] = EigenResult(value, vector, residual)
+                    results[left[j]] = value, residual
             stay = [j for j, off in enumerate(offs) if not off <= tol]  # a NaN norm stays, to run out of sweeps
             if not stay:
                 return results
@@ -209,63 +201,20 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[EigenResult]:
                 a.put(idx, np.where(live, fix, a.take(idx)))
 
 
-def eigen_max_symmetric(m, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
-    """Largest eigenvalue and eigenvector of a symmetric matrix by parallel-ordered Jacobi.
+def spectral_summary(g: Graph) -> SpectralSummary:
+    """ρ(G) and q(G) at ``DEFAULT_TOL``, solved on the first call for this Graph object.
 
-    The solve is ``_jacobi`` on a stack of one. A sweep is the m - 1 rounds
-    of ``_round_robin`` (m = n rounded up to even). The rotations of one round
-    act on disjoint pairs, so they commute and are applied at once as one
-    orthogonal ``rot``: a = rot.T @ a @ rot. Sweeps run until the
-    off-diagonal Frobenius norm is <= tol. Raises ConvergenceError if the
-    sweep budget runs out or the final eigenpair residual still exceeds tol,
-    and ValueError on non-square or non-symmetric input.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    original = np.asarray(m, dtype=float)
-    if original.ndim != 2 or original.shape[0] != original.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {original.shape}")
-    n = original.shape[0]
-    if n == 0:
-        raise ValueError("expected a nonempty matrix")
-    scale = max(1.0, float(np.max(np.abs(original))))
-    if float(np.max(np.abs(original - original.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    return _jacobi(original[None], tol, max_sweeps)[0]
-
-
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """ρ(G): largest adjacency eigenvalue."""
-    if g.n < 1:
-        raise ValueError("spectral_radius requires n >= 1")
-    return eigen_max_symmetric(adjacency_matrix(g), tol).value
-
-
-def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """q(G): largest eigenvalue of D + A."""
-    if g.n < 1:
-        raise ValueError("signless_laplacian_radius requires n >= 1")
-    return eigen_max_symmetric(signless_laplacian_matrix(g), tol).value
-
-
-def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralSummary:
-    """ρ(G) and q(G), solved on the first call for this Graph object and tol.
-
-    The summary is kept on ``g`` (one per graph, replaced by a call with
-    another tol) and returned as is by later calls with the same tol. A call
+    The summary is kept on ``g`` and returned as is by later calls. A call
     that raises keeps nothing, so the next one solves again.
     """
-    kept = g._spectra
-    if kept is not None and kept.tol == tol:
-        return kept
+    if g._spectra is not None:
+        return g._spectra
     if g.n < 1:
         raise ValueError("spectral_summary requires n >= 1")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     stack = _adjacency_stack(g, 2)  # A, and Q = D + A below
     stack[1][np.diag_indices(g.n)] = g.degrees()
-    ra, rq = _jacobi(stack, tol, MAX_SWEEPS)
-    g._spectra = SpectralSummary(rho=ra.value, q=rq.value, residual=max(ra.residual, rq.residual), tol=tol)
+    (rho, ra), (q, rq) = _jacobi(stack, DEFAULT_TOL, MAX_SWEEPS)
+    g._spectra = SpectralSummary(rho=rho, q=q, residual=max(ra, rq))
     return g._spectra
 
 

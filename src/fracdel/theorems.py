@@ -24,9 +24,9 @@ from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, Graph6Error, _graph6_size, complete, extremal, is_connected, parse_graph6
+from .graph import Graph, Graph6Error, complete, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
-from .spectral import ConvergenceError, _check_matrix_guard, spectral_summary
+from .spectral import ConvergenceError, _check_graph6_guard, spectral_summary
 
 __all__ = [
     "THEOREM_IDS",
@@ -334,7 +334,7 @@ def scan(
         if not text:
             continue
         try:
-            _check_matrix_guard(_graph6_size(text)[0])  # every condition needs rho and q
+            _check_graph6_guard(text)  # every condition needs rho and q
             graph = parse_graph6(text)
             report = eval_theorem(graph, theorem_id, a, b, max_n=max_n)
         except (Graph6Error, ValueError) as exc:

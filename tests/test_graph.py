@@ -136,6 +136,10 @@ def test_delete_edge():
         big = complete(n)
         h = delete_edge(big, np.int64(0), np.int64(n - 1))
         assert h == delete_edge(big, 0, n - 1) and all(type(r) is int for r in h._rows)
+        assert big.has_edge(np.int64(0), np.int64(n - 1)) and not h.has_edge(np.int64(0), np.int64(n - 1))
+        assert big.has_edge(np.int64(n - 1), np.int64(1)) and h.has_edge(np.int64(1), np.int64(n - 2))
+        with pytest.raises(TypeError):  # a float is not a vertex, and is not truncated to one
+            big.has_edge(1.5, 2)
         assert h.edge_count == big.edge_count - 1 and find_fractional_factor(h, 1, 3) is not None
 
 

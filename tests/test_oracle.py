@@ -765,6 +765,14 @@ def test_assignment_accessors():
     assert forward.halves == backward.halves == dict.fromkeys(g.edges(), 1)
     assert forward != backward and forward == FractionalAssignment(g._rows, forward.out)
     assert forward.satisfies(g, 1, 1) and backward.satisfies(g, 1, 1)
+    # numpy integers name the same vertices, past 63 too
+    big = find_fractional_factor(complete(70), 1, 3)
+    assert big.weight(np.int64(0), np.int64(65)) == big.weight(0, 65) == Fraction(big.halves[(0, 65)], 2)
+    assert big.vertex_numerator(np.int64(65)) == big.vertex_numerator(65)
+    with pytest.raises(IndexError):
+        big.vertex_numerator(np.int64(70))
+    with pytest.raises(TypeError):  # a float is not a vertex, and is not truncated to one
+        big.weight(0.5, 1)
 
 
 def test_flow_certificate_infeasible():

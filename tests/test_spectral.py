@@ -18,7 +18,6 @@ from fracdel import (
     delete_edge,
     delete_vertices,
     disjoint_union,
-    eigen_max_symmetric,
     extremal,
     feng_yu_bound,
     hsf_bound,
@@ -27,13 +26,16 @@ from fracdel import (
     parse_edge_list,
     parse_graph6,
     signless_laplacian_matrix,
-    signless_laplacian_radius,
-    spectral_radius,
     spectral_summary,
     to_graph6,
 )
 from fracdel.spectral import DEFAULT_TOL, MAX_SWEEPS, _jacobi, _round_robin
 from helpers import count_solves, cycle_graph, gnp, path_graph, random_connected, star_graph
+
+
+def _solo(m, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+    """(top eigenvalue, residual) of one symmetric matrix: the kernel on a stack of one."""
+    return _jacobi(np.asarray(m, dtype=float)[None], tol, max_sweeps)[0]
 
 
 def test_matrices():
@@ -48,7 +50,7 @@ def test_dense_matrices_are_refused_above_the_guard():
     g = Graph(MATRIX_GUARD + 1)  # edgeless, so the graph itself is small
     tracemalloc.start()
     try:
-        for compute in (adjacency_matrix, signless_laplacian_matrix, spectral_radius, spectral_summary):
+        for compute in (adjacency_matrix, signless_laplacian_matrix, spectral_summary):
             with pytest.raises(ValueError, match="4096-vertex limit"):
                 compute(g)
         peak = tracemalloc.get_traced_memory()[1]
@@ -64,34 +66,20 @@ def test_eigen_planted_spectrum():
         eigenvalues = np.sort(rng.uniform(-5, 5, size=n))
         m = basis @ np.diag(eigenvalues) @ basis.T
         m = (m + m.T) / 2
-        result = eigen_max_symmetric(m)
-        assert abs(result.value - eigenvalues[-1]) <= 1e-8
-        assert result.residual <= 1e-10
-        assert np.allclose(m @ result.vector, result.value * result.vector, atol=1e-8)
+        value, residual = _solo(m)
+        assert abs(value - eigenvalues[-1]) <= 1e-8
+        assert residual <= 1e-10
 
 
 def test_eigen_trivial_and_diagonal():
-    value, vector, residual = eigen_max_symmetric([[4.5]])
-    assert value == 4.5 and vector.tolist() == [1.0] and residual == 0.0
-    result = eigen_max_symmetric(np.diag([3.0, -1.0, 7.0]))
-    assert result.value == 7.0
+    assert _solo([[4.5]]) == (4.5, 0.0)
+    assert _solo(np.diag([3.0, -1.0, 7.0])) == (7.0, 0.0)
 
 
 def test_eigen_input_not_modified():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eigen_max_symmetric(m)
+    _solo(m)
     assert m.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-
-
-def test_eigen_validation():
-    with pytest.raises(ValueError):
-        eigen_max_symmetric([[0, 1], [2, 0]])  # not symmetric
-    with pytest.raises(ValueError):
-        eigen_max_symmetric(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        eigen_max_symmetric([[1.0]], tol=0.0)
-    with pytest.raises(ValueError):
-        eigen_max_symmetric(np.zeros((0, 0)))
 
 
 def test_eigen_unreachable_tolerance_raises():
@@ -99,7 +87,7 @@ def test_eigen_unreachable_tolerance_raises():
     m = rng.normal(size=(6, 6))
     m = (m + m.T) / 2
     with pytest.raises(ConvergenceError) as ei:
-        eigen_max_symmetric(m, tol=1e-300)
+        _solo(m, tol=1e-300)
     assert ei.value.residual > 0
 
 
@@ -132,11 +120,10 @@ def test_eigen_matches_eigvalsh_at_odd_and_even_n():
         matrices.append(_planted(rng, rng.uniform(-5, 5, size=n)))
         matrices.append(adjacency_matrix(gnp(n, 0.5, random.Random(n))))
     for m in matrices:
-        result = eigen_max_symmetric(m)
-        assert abs(result.value - np.linalg.eigvalsh(m)[-1]) <= 1e-9
-        assert 0 <= result.residual <= 1e-10
-        assert abs(np.linalg.norm(result.vector) - 1.0) <= 1e-9
-    assert eigen_max_symmetric(matrices[2]).value < -1 + 1e-9  # all-negative spectrum at odd n
+        value, residual = _solo(m)
+        assert abs(value - np.linalg.eigvalsh(m)[-1]) <= 1e-9
+        assert 0 <= residual <= 1e-10
+    assert _solo(matrices[2])[0] < -1 + 1e-9  # all-negative spectrum at odd n
 
 
 @pytest.mark.filterwarnings("error")
@@ -144,14 +131,14 @@ def test_eigen_tiny_off_diagonal_rotates_by_zero_without_a_warning():
     # tau = (a_qq - a_pp) / (2 a_pq) overflows on the division, or on |tau| + hypot(1, tau)
     for tiny, corner in ((1e-310, 10.0), (5e-309, 1.0)):  # pair (1, 2) is rotated first, in round 0
         m = np.array([[0.5, 1.0, 0.0], [1.0, 0.0, tiny], [0.0, tiny, corner]])
-        result = eigen_max_symmetric(m)
-        assert abs(result.value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 and result.residual <= 1e-10
+        value, residual = _solo(m)
+        assert abs(value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 and residual <= 1e-10
 
 
 def test_eigen_non_finite_input_raises():
     for m in ([[np.inf, 1.0], [1.0, 0.0]], [[np.nan, 1.0], [1.0, 0.0]], [[0.0, np.nan], [np.nan, 0.0]]):
         with pytest.raises(ConvergenceError) as ei, np.errstate(invalid="ignore"):
-            eigen_max_symmetric(m, max_sweeps=3)
+            _solo(m, max_sweeps=3)
         assert math.isnan(ei.value.residual)
 
 
@@ -159,11 +146,11 @@ def test_eigen_sweep_budget():
     rng = np.random.default_rng(23)
     m = _planted(rng, rng.uniform(-5, 5, size=12))
     with pytest.raises(ConvergenceError) as ei:
-        eigen_max_symmetric(m, max_sweeps=1)
+        _solo(m, max_sweeps=1)
     assert ei.value.residual > 0
     for n in (7, 32):  # the small-angle rotations converge quadratically
         m = adjacency_matrix(gnp(n, 0.5, random.Random(n)))
-        assert eigen_max_symmetric(m, max_sweeps=8).residual <= 1e-10
+        assert _solo(m, max_sweeps=8)[1] <= 1e-10
 
 
 def test_spectral_summary_equals_the_solo_solves():
@@ -173,8 +160,8 @@ def test_spectral_summary_equals_the_solo_solves():
     graphs += [disjoint_union(complete(3), path_graph(4)), disjoint_union(complete(4), complete(4)), extremal(9, 2)]
     for g in graphs:
         s = spectral_summary(g)
-        ra, rq = eigen_max_symmetric(adjacency_matrix(g)), eigen_max_symmetric(signless_laplacian_matrix(g))
-        assert (s.rho, s.q, s.residual) == (ra.value, rq.value, max(ra.residual, rq.residual))
+        (rho, ra), (q, rq) = _solo(adjacency_matrix(g)), _solo(signless_laplacian_matrix(g))
+        assert (s.rho, s.q, s.residual) == (rho, q, max(ra, rq))
 
 
 def test_stacked_matrices_leave_the_stack_as_they_converge():
@@ -182,14 +169,11 @@ def test_stacked_matrices_leave_the_stack_as_they_converge():
     diagonal = np.diag(rng.uniform(-5, 5, size=12))  # converged before the first sweep
     near = np.diag(np.arange(1.0, 13.0)) + 1e-6 * _planted(rng, rng.uniform(-1, 1, size=12))
     planted = _planted(rng, rng.uniform(-5, 5, size=12))
-    assert _jacobi(diagonal[None], DEFAULT_TOL, 0)[0].residual == 0.0
+    assert _solo(diagonal, max_sweeps=0)[1] == 0.0
     with pytest.raises(ConvergenceError) as solo:
-        _jacobi(planted[None], DEFAULT_TOL, 1)
+        _solo(planted, max_sweeps=1)
     stack = np.stack((diagonal, near, planted))
-    for got, m in zip(_jacobi(stack, DEFAULT_TOL, MAX_SWEEPS), stack):
-        want = eigen_max_symmetric(m)
-        assert (got.value, got.residual) == (want.value, want.residual)
-        assert np.array_equal(got.vector, want.vector)
+    assert _jacobi(stack, DEFAULT_TOL, MAX_SWEEPS) == [_solo(m) for m in stack]
     with pytest.raises(ConvergenceError) as stacked:  # the second matrix needs more than one sweep
         _jacobi(np.stack((diagonal, planted)), DEFAULT_TOL, 1)
     assert stacked.value.residual == solo.value.residual > 0
@@ -198,24 +182,24 @@ def test_stacked_matrices_leave_the_stack_as_they_converge():
 @pytest.mark.parametrize("n", range(2, 13))
 def test_complete_graph_spectra(n):
     g = complete(n)
-    assert abs(spectral_radius(g) - (n - 1)) <= 1e-9
-    assert abs(signless_laplacian_radius(g) - (2 * n - 2)) <= 1e-9
+    assert abs(spectral_summary(g).rho - (n - 1)) <= 1e-9
+    assert abs(spectral_summary(g).q - (2 * n - 2)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_cycle_spectra(n):
     g = cycle_graph(n)
-    assert abs(spectral_radius(g) - 2.0) <= 1e-9
-    assert abs(signless_laplacian_radius(g) - 4.0) <= 1e-9
+    assert abs(spectral_summary(g).rho - 2.0) <= 1e-9
+    assert abs(spectral_summary(g).q - 4.0) <= 1e-9
 
 
 def test_known_small_spectra():
-    assert abs(signless_laplacian_radius(path_graph(3)) - 3.0) <= 1e-9
-    assert abs(spectral_radius(star_graph(3)) - math.sqrt(3)) <= 1e-9
-    assert abs(signless_laplacian_radius(star_graph(3)) - 4.0) <= 1e-9
+    assert abs(spectral_summary(path_graph(3)).q - 3.0) <= 1e-9
+    assert abs(spectral_summary(star_graph(3)).rho - math.sqrt(3)) <= 1e-9
+    assert abs(spectral_summary(star_graph(3)).q - 4.0) <= 1e-9
     two_cliques = disjoint_union(complete(3), complete(2))
-    assert abs(spectral_radius(two_cliques) - 2.0) <= 1e-9
-    assert abs(signless_laplacian_radius(two_cliques) - 4.0) <= 1e-9
+    assert abs(spectral_summary(two_cliques).rho - 2.0) <= 1e-9
+    assert abs(spectral_summary(two_cliques).q - 4.0) <= 1e-9
 
 
 def test_isomorphism_invariance():
@@ -225,8 +209,8 @@ def test_isomorphism_invariance():
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert abs(spectral_radius(g) - spectral_radius(h)) <= 1e-9
-        assert abs(signless_laplacian_radius(g) - signless_laplacian_radius(h)) <= 1e-9
+        assert abs(spectral_summary(g).rho - spectral_summary(h).rho) <= 1e-9
+        assert abs(spectral_summary(g).q - spectral_summary(h).q) <= 1e-9
 
 
 def test_edge_deletion_monotone():
@@ -235,8 +219,8 @@ def test_edge_deletion_monotone():
         g = random_connected(rng.randint(3, 9), 0.6, rng)
         u, v = next(iter(g.edges()))
         h = delete_edge(g, u, v)
-        assert spectral_radius(h) < spectral_radius(g) + 1e-10
-        assert signless_laplacian_radius(h) <= signless_laplacian_radius(g) + 1e-9
+        assert spectral_summary(h).rho < spectral_summary(g).rho + 1e-10
+        assert spectral_summary(h).q <= spectral_summary(g).q + 1e-9
 
 
 def test_summary_fields_and_bounds():
@@ -244,8 +228,7 @@ def test_summary_fields_and_bounds():
     for _ in range(30):
         g = gnp(rng.randint(1, 10), rng.choice([0.2, 0.5, 0.9]), rng)
         s = spectral_summary(g)
-        assert s.tol == 1e-10
-        assert s.residual <= s.tol
+        assert s.residual <= DEFAULT_TOL == 1e-10
         assert s.rho <= g.n - 1 + 1e-9
         assert s.q <= 2 * (g.n - 1) + 1e-9 or g.n == 1
         assert s.rho >= 2 * g.edge_count / g.n - 1e-9
@@ -255,12 +238,12 @@ def test_hsf_bound_dominates_rho():
     rng = random.Random(29)
     for _ in range(40):
         g = gnp(rng.randint(1, 10), rng.choice([0.3, 0.6, 0.9]), rng)
-        assert hsf_bound(g) >= spectral_radius(g) - 1e-8
+        assert hsf_bound(g) >= spectral_summary(g).rho - 1e-8
 
 
 @pytest.mark.parametrize("g", [complete(5), complete(9), cycle_graph(6), cycle_graph(9)])
 def test_hsf_bound_tight_on_regular(g):
-    assert abs(hsf_bound(g) - spectral_radius(g)) <= 1e-8
+    assert abs(hsf_bound(g) - spectral_summary(g).rho) <= 1e-8
 
 
 def test_hsf_bound_at_decreasing():
@@ -298,32 +281,27 @@ def test_feng_yu_bound():
     rng = random.Random(43)
     for _ in range(25):
         g = random_connected(rng.randint(2, 10), 0.5, rng)
-        assert feng_yu_bound(g) >= signless_laplacian_radius(g) - 1e-8
+        assert feng_yu_bound(g) >= spectral_summary(g).q - 1e-8
     with pytest.raises(ValueError):
         feng_yu_bound(disjoint_union(complete(2), complete(2)))
     with pytest.raises(ValueError):
         feng_yu_bound(Graph(1))
 
 
-def test_spectral_summary_solves_once_per_graph_object_and_tol(monkeypatch):
+def test_spectral_summary_solves_once_per_graph_object(monkeypatch):
     solves = count_solves(monkeypatch)
     g = gnp(12, 0.5, random.Random(3))
     first = spectral_summary(g)
-    assert len(solves) == 2 and first.tol == 1e-10
-    assert spectral_summary(g) is first and spectral_summary(g, 1e-10) is first
+    assert len(solves) == 2 and first.residual <= DEFAULT_TOL
+    assert spectral_summary(g) is first and g._spectra is first
     assert len(solves) == 2
-
-    loose = spectral_summary(g, 1e-6)  # another tol solves again and reports its own tol
-    assert len(solves) == 4 and loose.tol == 1e-6 and loose.residual <= 1e-6
-    assert abs(loose.rho - first.rho) <= 1e-6 and abs(loose.q - first.q) <= 1e-6
-    assert spectral_summary(g, 1e-6) is loose and len(solves) == 4
-    again = spectral_summary(g)  # the kept summary is now the 1e-6 one
-    assert len(solves) == 6 and again.tol == 1e-10 and again == first
 
     twin = Graph(g.n, g.edges())  # equal, but another object
     assert twin == g and hash(twin) == hash(g) and twin is not g
-    assert spectral_summary(twin) == first and len(solves) == 8
-    assert spectral_summary(twin) is spectral_summary(twin) and len(solves) == 8
+    assert spectral_summary(twin) == first and len(solves) == 4
+    assert spectral_summary(twin) is spectral_summary(twin) and len(solves) == 4
+    with pytest.raises(TypeError):  # no tolerance to pass
+        spectral_summary(g, 1e-6)
 
 
 def test_a_failed_spectral_summary_is_not_kept(monkeypatch):
@@ -341,10 +319,9 @@ def test_a_failed_spectral_summary_is_not_kept(monkeypatch):
     assert g._spectra is None
     monkeypatch.setattr(fracdel.spectral, "_jacobi", real)
     solves = count_solves(monkeypatch)
-    assert abs(spectral_summary(g).rho - 5.0) <= 1e-9 and len(solves) == 2
-    with pytest.raises(ValueError, match="tol must be positive"):
-        spectral_summary(g, 0.0)
-    assert g._spectra.tol == 1e-10 and len(solves) == 2
+    kept = spectral_summary(g)
+    assert abs(kept.rho - 5.0) <= 1e-9 and len(solves) == 2
+    assert spectral_summary(g) is kept and len(solves) == 2
     for bad in (Graph(0), Graph(MATRIX_GUARD + 1)):
         with pytest.raises(ValueError):
             spectral_summary(bad)
