@@ -279,3 +279,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,14 +55,14 @@ class Graph:
     impossible by construction and self-loops are rejected.
     """
 
-    __slots__ = ("n", "_rows", "_edge_count", "_spectra", "_origin", "_start", "__weakref__")
+    __slots__ = ("n", "_rows", "_edge_count", "_spectra", "_origin", "_build", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
         rows = [0] * n
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = operator.index(u), operator.index(v)  # a float raises instead of truncating
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -74,7 +74,7 @@ class Graph:
         self._edge_count = sum(r.bit_count() for r in rows) // 2
         self._spectra = None  # spectral.spectral_summary of this object, once solved
         self._origin = None  # (weak reference to G, u, v) when made by delete_edge(G, u, v)
-        self._start = None  # ((g, f), start): the last oracle greedy start of this object
+        self._build = None  # ((g, f), start, out, stepped): the last oracle double-cover build of this object
 
     @classmethod
     def _from_rows(cls, n: int, rows: tuple[int, ...], edge_count: int | None = None) -> "Graph":
@@ -85,7 +85,7 @@ class Graph:
         g._edge_count = sum(map(int.bit_count, rows)) // 2 if edge_count is None else edge_count
         g._spectra = None
         g._origin = None
-        g._start = None
+        g._build = None
         return g
 
     @property
@@ -213,15 +213,16 @@ def extremal(n: int, a: int) -> Graph:
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    """G - uv. The edge must exist.
+    """G - uv. The edge must exist; u and v must be integers (numpy's too), not floats.
 
     The result remembers its parent G, by a weak reference, and the deleted
-    edge, so ``find_fractional_factor`` can reuse G's greedy start while G
-    is alive. Neither is part of its value: equality and hashing see only
-    n and the edges.
+    edge, so ``find_fractional_factor`` can reuse G's greedy start, or G's
+    whole factor when no step of G's build touched uv, while G is alive.
+    Neither is part of its value: equality and hashing see only n and the
+    edges.
     """
-    u, v = int(u), int(v)  # as Graph() does; a numpy integer would leak into the rows
-    if not g.has_edge(u, v):
+    u, v = operator.index(u), operator.index(v)  # as Graph() does; a numpy integer would leak into the rows
+    if not (0 <= u < g.n and 0 <= v < g.n and g._rows[u] >> v & 1):
         raise ValueError(f"edge ({u}, {v}) not in graph")
     rows = list(g._rows)
     rows[u] ^= 1 << v

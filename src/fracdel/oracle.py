@@ -472,7 +472,7 @@ def _greedy_start(
     return out, into, short, below
 
 
-def _alternating_path(adj, gv, fv, own, other, root: int) -> list[int] | None:
+def _alternating_path(adj, gv, fv, own, other, root: int, came_by_free: dict | None = None) -> list[int] | None:
     """A shortest flippable path [root, y1, x1, y2, ...] from an own-side root, or None.
 
     Steps x -> y use edges not in F, steps y -> x edges in F. The path ends at
@@ -480,8 +480,16 @@ def _alternating_path(adj, gv, fv, own, other, root: int) -> list[int] | None:
     means no such path exists: the own-side vertices reached, X, and the
     other-side ones, Y, then have g(X) > f(Y) + e(X, outside Y), which no
     factor can meet.
+
+    ``came_by_free``, if given, is an empty dict that the search fills with
+    every free step it takes, as other-side y -> own-side x. adj is read only
+    in the offers adj[x] & ~own[x] & ~seen_other, and each offer's steps are
+    taken in increasing order. A bit of adj[x] that the search never stepped
+    along was in no offer, or lay above the step at which the search
+    returned, so the search takes the same steps with that bit cleared.
     """
-    came_by_free = {}  # other-side y -> the own-side x whose edge to y is not in F
+    if came_by_free is None:
+        came_by_free = {}  # other-side y -> the own-side x whose edge to y is not in F
     came_by_f = {}  # own-side x -> the other-side y whose edge to x is in F
     seen_own, seen_other = 1 << root, 0
     queue = [root]
@@ -527,30 +535,37 @@ def _flip(path: list[int], own: list[int], other: list[int]) -> None:
         other[y] ^= 1 << x
 
 
-def _raise_to_g(adj, gv, fv, own: list[int], other: list[int], roots: int) -> bool:
+def _raise_to_g(adj, gv, fv, own: list[int], other: list[int], roots: int, stepped: dict | None = None) -> bool:
     """Raise the own-side vertices in roots to g, in increasing order, by flipping alternating
-    paths; False if one cannot be. Every own-side vertex outside roots must already be at g or above."""
+    paths; False if one cannot be. Every own-side vertex outside roots must already be at g or above.
+
+    ``stepped``, if given, gathers every search's free steps, as own-side x -> mask of the y stepped to."""
     for root in _bits(roots):
         while own[root].bit_count() < gv[root]:
-            path = _alternating_path(adj, gv, fv, own, other, root)
+            came = None if stepped is None else {}
+            path = _alternating_path(adj, gv, fv, own, other, root, came)
+            if came:
+                for y, x in came.items():
+                    stepped[x] = stepped.get(x, 0) | 1 << y
             if path is None:
                 return False
             _flip(path, own, other)
     return True
 
 
-def _double_cover_factor(adj, gv, fv, avoid=None, start=None) -> tuple[list[int], list[int]] | None:
+def _double_cover_factor(adj, gv, fv, avoid=None, start=None, stepped=None) -> tuple[list[int], list[int]] | None:
     """A (g, f)-factor of the double cover as (out, into) masks, or None if there is none.
 
     ``start``, if given, is the greedy start (out, into, short, below) of adj at
     these bounds, with no avoid; the raises work on copies of its masks.
+    ``stepped``, if given, gathers the free steps of both sides' searches (see ``_raise_to_g``).
     """
     if start is None:
         out, into, short, below = _greedy_start(adj, gv, fv, avoid)
     else:
         out, into, short, below = start
         out, into = list(out), list(into)
-    if _raise_to_g(adj, gv, fv, out, into, short) and _raise_to_g(adj, gv, fv, into, out, below):
+    if _raise_to_g(adj, gv, fv, out, into, short, stepped) and _raise_to_g(adj, gv, fv, into, out, below, stepped):
         return out, into
     return None
 
@@ -598,35 +613,56 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     return True
 
 
-def _own_start(graph: Graph, gv, fv) -> tuple:
-    """The greedy start of graph at (gv, fv), its masks as tuples: graph's memo when that
-    is for these bounds, else built from graph's rows and memoised."""
-    kept = graph._start
-    if kept is None or kept[0] != (gv, fv):
-        out, into, short, below = _greedy_start(graph._rows, gv, fv)
-        kept = graph._start = (gv, fv), (tuple(out), tuple(into), short, below)
-    return kept[1]
+def _fresh_build(graph: Graph, gv, fv, start=None) -> tuple:
+    """Build graph's double-cover factor at (gv, fv) from start, or from its own greedy start,
+    and memoise it on graph as ((gv, fv), start, out, stepped).
 
-
-def _start_of(graph: Graph, gv, fv) -> tuple:
-    """The greedy start of graph at (gv, fv), taken from its parent where that is exact.
-
-    A graph made by ``delete_edge(P, u, v)``, with P still alive, has P's greedy
-    start whenever that start picked neither u -> v' nor v -> u'. Each pick is
-    the lowest bit of the first nonempty of four masks, and v (or u) is never
-    that bit, so dropping it from u's row (or u from v's) changes no pick, no
-    degree and no deficit mask. P's start is memoised on P, so every G - e
-    taken from one G shares one greedy pass.
+    ``out`` is the factor's left-side arc masks as a tuple, or None when there is
+    no factor; ``stepped`` holds the free steps of the build's searches.
     """
-    kept = graph._start
-    if (kept is None or kept[0] != (gv, fv)) and graph._origin is not None:
-        ref, u, v = graph._origin
-        parent = ref()
-        if parent is not None:
-            start = _own_start(parent, gv, fv)
-            if not (start[0][u] >> v & 1 or start[0][v] >> u & 1):
-                graph._start = (gv, fv), start
-    return _own_start(graph, gv, fv)
+    if start is None:
+        out, into, short, below = _greedy_start(graph._rows, gv, fv)
+        start = tuple(out), tuple(into), short, below
+    stepped = {}
+    found = _double_cover_factor(graph._rows, gv, fv, start=start, stepped=stepped)
+    graph._build = kept = (gv, fv), start, None if found is None else tuple(found[0]), stepped
+    return kept
+
+
+def _build_of(graph: Graph, gv, fv) -> tuple:
+    """graph's build at (gv, fv), memoised as ``_fresh_build`` does: graph's own memo when
+    that is for these bounds, else as much of its parent's as is exact, else a new build.
+
+    A graph made by ``delete_edge(P, u, v)``, with P still alive, reads P's build
+    (built and memoised on P first, from P's own greedy start, if P has none
+    for these bounds; only the direct parent is consulted). When P's greedy
+    start picked neither u -> v' nor v -> u', it is P - uv's start too: each
+    greedy pick is the lowest bit of the first nonempty of four masks, and v
+    (or u) is never that bit, so dropping it changes no pick, degree or
+    deficit mask. When, besides, no search of P stepped along uv, every search
+    on P - uv takes P's steps (see ``_alternating_path``) and makes P's
+    flip, so P - uv takes P's whole memo, factor (or None) and steps too, and
+    builds nothing; a chain of deletions passes it on. Otherwise P - uv
+    raises its own rows, from P's start where that is exact. So every G - e
+    taken from one G shares one greedy pass, and most share G's raises too.
+    """
+    kept = graph._build
+    if kept is not None and kept[0] == (gv, fv):
+        return kept
+    parent = graph._origin[0]() if graph._origin else None
+    if parent is None:
+        return _fresh_build(graph, gv, fv)
+    _, u, v = graph._origin
+    kept = parent._build
+    if kept is None or kept[0] != (gv, fv):
+        kept = _fresh_build(parent, gv, fv)
+    _, start, _, stepped = kept
+    if start[0][u] >> v & 1 or start[0][v] >> u & 1:
+        return _fresh_build(graph, gv, fv)
+    if stepped.get(u, 0) >> v & 1 or stepped.get(v, 0) >> u & 1:
+        return _fresh_build(graph, gv, fv, start)
+    graph._build = kept
+    return kept
 
 
 def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
@@ -640,14 +676,13 @@ def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     none exists, so this agrees with ``has_fractional_gf_factor`` on every
     input. The certificate holds F itself, as G's row masks and F's
     left-side arc masks, so building it costs no pass over the edges. It is
-    the certificate a build from scratch returns, bit for bit; only the
-    greedy start is shared: G keeps its last one, and a G made by
-    ``delete_edge`` takes its parent's while that is exact (see ``_start_of``).
+    the certificate a build from scratch returns, bit for bit. G keeps its
+    last build and the bounds it was for, so a second call at those bounds
+    builds nothing. A G made by ``delete_edge`` takes its parent's greedy
+    start, or the parent's whole build, factor and all, while that is exact
+    (see ``_build_of``).
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    found = _double_cover_factor(graph._rows, gv, fv, start=_start_of(graph, gv, fv))
-    if found is None:
-        return None
-    out, _ = found
-    return FractionalAssignment(graph._rows, tuple(out))
+    out = _build_of(graph, gv, fv)[2]
+    return None if out is None else FractionalAssignment(graph._rows, out)

@@ -156,6 +156,20 @@ def test_one_process_serves_alternating_subcommands(capsys):
         assert (code, out) == fresh[tuple(argv)], argv
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    # `python -m fracdel` and `python -m fracdel.cli` are the console script: same stdout and exit code
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for graph, code in (("F~~~w", 0), ("F~~{?", 1)):  # deleted, refuted
+        argv = ["check", "--graph6", graph, "--a", "1", "--b", "3"]
+        want = run(capsys, *argv)[:2]
+        assert want[0] == code and want[1]
+        for module in ("fracdel", "fracdel.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (proc.returncode, proc.stdout) == want, (module, argv, proc.stderr)
+
+
 def test_factor_exists(capsys):
     code, out, _ = run(capsys, "factor", "--graph6", to_graph6(cycle_graph(4)), "--a", "1", "--b", "1")
     assert code == 0

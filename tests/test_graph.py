@@ -141,6 +141,16 @@ def test_delete_edge():
         with pytest.raises(TypeError):  # a float is not a vertex, and is not truncated to one
             big.has_edge(1.5, 2)
         assert h.edge_count == big.edge_count - 1 and find_fractional_factor(h, 1, 3) is not None
+    # nor does delete_edge or Graph() truncate one: int() would delete (0, 1) and make the edge (0, 1)
+    with pytest.raises(TypeError):
+        delete_edge(complete(4), 0.9, 1.2)
+    with pytest.raises(TypeError):
+        Graph(3, [(0.7, 1)])
+    assert Graph(3, [(np.int64(0), np.int64(1))]) == Graph(3, [(0, 1)])
+    # the edge is read off the row masks: a vertex outside 0..n-1, negative too, names no edge
+    for u, v in ((0, 4), (-1, 0), (3, -4)):
+        with pytest.raises(ValueError, match="not in graph"):
+            delete_edge(g, u, v)
 
 
 def test_delete_edge_remembers_its_parent_outside_its_value():
@@ -148,13 +158,13 @@ def test_delete_edge_remembers_its_parent_outside_its_value():
     u, v = next(g.edges())
     h = delete_edge(g, u, v)
     same = Graph(12, set(g.edges()) - {(u, v)})
-    find_fractional_factor(h, 1, 2)  # fills h's greedy-start memo
-    assert h._origin[0]() is g and h._start is not None
-    assert same._origin is None and same._start is None
+    find_fractional_factor(h, 1, 2)  # fills h's build memo
+    assert h._origin[0]() is g and h._build is not None
+    assert same._origin is None and same._build is None
     assert h == same and hash(h) == hash(same) and h.edge_count == same.edge_count == g.edge_count - 1
     # a copy or a pickle is the graph alone, without the memos or the parent
     for twin in (copy.copy(h), pickle.loads(pickle.dumps(h))):
-        assert twin == h and (twin._origin, twin._start, twin._spectra) == (None, None, None)
+        assert twin == h and (twin._origin, twin._build, twin._spectra) == (None, None, None)
 
 
 def test_delete_vertices():

@@ -306,9 +306,9 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
     states = {}  # (adjacency list, pair of side lists) ids -> (adjacency, out, into) as first raised
     raise_to_g = oracle._raise_to_g
 
-    def recording(adj, gv, fv, own, other, roots):
+    def recording(adj, gv, fv, own, other, roots, stepped=None):
         states.setdefault((id(adj), frozenset((id(own), id(other)))), (adj, own, other))
-        return raise_to_g(adj, gv, fv, own, other, roots)
+        return raise_to_g(adj, gv, fv, own, other, roots, stepped)
 
     monkeypatch.setattr(oracle, "_raise_to_g", recording)
     rng = random.Random(5504)
@@ -350,7 +350,7 @@ def test_true_verdicts_take_few_alternating_searches(monkeypatch):
     alternating_path = oracle._alternating_path
 
     def counting(*args):
-        calls.append(args[-1])
+        calls.append(args[5])  # the root
         return alternating_path(*args)
 
     monkeypatch.setattr(oracle, "_alternating_path", counting)
@@ -407,8 +407,8 @@ def test_deleted_agrees_with_per_edge_certificates_where_the_factors_overlap(mon
     builds = []  # per double-cover build: (whether it was F1, whether it found a factor, whether it met supp(F0))
     double_cover_factor = oracle._double_cover_factor
 
-    def recording(adj, gv, fv, avoid=None, start=None):
-        found = double_cover_factor(adj, gv, fv, avoid, start)
+    def recording(adj, gv, fv, avoid=None, start=None, stepped=None):
+        found = double_cover_factor(adj, gv, fv, avoid, start, stepped)
         meets = avoid is not None and found is not None and any(a & (o | i) for a, o, i in zip(avoid, *found))
         builds.append((avoid is not None, found is not None, meets))
         return found
@@ -592,12 +592,15 @@ def test_per_edge_certificates_of_a_large_graph_are_small():
 
 
 def test_per_edge_certificates_are_those_of_a_build_from_scratch():
-    # a G - e made by delete_edge takes G's greedy start unless that start picked one of
-    # e's arcs; its certificate must still be the one a graph with no parent gets, under
-    # bounds that change between calls on one G, with and without G's own certificate
-    # built first, down chains of two deletions, and once G itself is gone
+    # a G - e made by delete_edge takes G's whole build, factor or None, when G's greedy
+    # start picked neither of e's arcs and no search of G stepped along e; G's start alone
+    # when a search did; and builds its own start when G's start picked e. Its certificate
+    # must still be the one a graph with no parent gets, under bounds that change between
+    # calls on one G, with and without G's own certificate built first, on graphs with no
+    # factor, down chains of two deletions (from a replayed G - e too), and once G is gone
     rng = random.Random(5521)
-    inherited = rebuilt = chains = 0
+    kinds = dict.fromkeys(("replayed", "stepped", "picked"), 0)
+    inherited = rebuilt = replayed_none = chains = chains_from_replayed = 0
     for n in (7, 12, 16, 32):
         for p in (0.3, 0.5, 0.8):
             g = gnp(n, p, rng)
@@ -611,22 +614,37 @@ def test_per_edge_certificates_are_those_of_a_build_from_scratch():
                         h = delete_edge(g, u, v)
                         got = find_fractional_factor(h, a, b)
                         assert got == find_fractional_factor(Graph._from_rows(n, h._rows), a, b), (g, a, b, u, v)
-                        shared = h._start[1] is g._start[1]
+                        bounds_of_g, start, _, stepped = g._build
+                        assert bounds_of_g == h._build[0] == oracle._bounds_vectors(g, a, b)
+                        if start[0][u] >> v & 1 or start[0][v] >> u & 1:
+                            kind = "picked"
+                        elif stepped.get(u, 0) >> v & 1 or stepped.get(v, 0) >> u & 1:
+                            kind = "stepped"
+                        else:
+                            kind = "replayed"
+                        kinds[kind] += 1
+                        assert (h._build is g._build) == (kind == "replayed"), (g, a, b, u, v)
+                        shared = h._build[1] is g._build[1]
+                        assert shared == (kind != "picked"), (g, a, b, u, v)
                         inherited += shared
                         rebuilt += not shared
+                        replayed_none += kind == "replayed" and got is None
                         if k % 7 or h.edge_count == 0:
                             continue
                         x, y = next(h.edges())
-                        for parent in (h, delete_edge(g, u, v)):  # with and without its own start
+                        for parent in (h, delete_edge(g, u, v)):  # with and without its own build
                             h2 = delete_edge(parent, x, y)
                             assert find_fractional_factor(h2, a, b) == find_fractional_factor(
                                 Graph._from_rows(n, h2._rows), a, b
                             ), (g, a, b, u, v, x, y)
                             chains += 1
+                        chains_from_replayed += kind == "replayed"
     orphan = delete_edge(Graph._from_rows(g.n, g._rows), u, v)
     assert orphan._origin[0]() is None
     assert find_fractional_factor(orphan, 1, 3) == find_fractional_factor(Graph._from_rows(g.n, orphan._rows), 1, 3)
     assert inherited > 9000 and rebuilt > 1000 and chains > 3000, (inherited, rebuilt, chains)
+    assert kinds["replayed"] > 8000 and kinds["stepped"] > 400 and kinds["picked"] > 1000, kinds
+    assert replayed_none > 100 and chains_from_replayed > 1000, (replayed_none, chains_from_replayed)
 
 
 def test_every_g_minus_e_shares_the_greedy_start_of_g_unless_it_picked_the_edge(monkeypatch):
@@ -645,6 +663,32 @@ def test_every_g_minus_e_shares_the_greedy_start_of_g_unless_it_picked_the_edge(
     assert find_fractional_factor(g, 1, 3) is not None
     assert all(find_fractional_factor(delete_edge(g, u, v), 1, 3) is not None for u, v in g.edges())
     assert g.edge_count == 251 and len(calls) == 18
+
+
+def test_g_minus_e_replays_the_searches_of_g_unless_one_stepped_along_the_edge(monkeypatch):
+    # the same G(32, 1/2): a G - e whose edge G's start did not pick and no search of G
+    # stepped along takes G's factor with no search. At (1, 3) that is 234 of the 251
+    # G - e, and G's two searches step along only picked edges; at (3, 3) 131 replay, and
+    # 75 raise from G's start because one of G's six searches stepped along their edge.
+    # Raising every G - e took 504 and 1 498 searches
+    calls = []
+    alternating_path = oracle._alternating_path
+
+    def counted(*args):
+        calls.append(args[5])  # the root
+        return alternating_path(*args)
+
+    monkeypatch.setattr(oracle, "_alternating_path", counted)
+    r = random.Random(20260816)
+    g = Graph(32, [e for e in combinations(range(32), 2) if r.random() < 0.5])
+    for (a, b), searches, replayed, stepped in (((1, 3), 36, 234, 0), ((3, 3), 712, 131, 75)):
+        calls.clear()
+        assert find_fractional_factor(g, a, b) is not None
+        hs = [delete_edge(g, u, v) for u, v in g.edges()]
+        assert all(find_fractional_factor(h, a, b) is not None for h in hs)
+        assert len(calls) == searches, (a, b, len(calls))
+        assert sum(h._build is g._build for h in hs) == replayed
+        assert sum(h._build[1] is g._build[1] for h in hs) == replayed + stepped
 
 
 def test_flow_certificate_repairs_a_greedy_deficit_with_a_long_path():
@@ -672,8 +716,8 @@ def test_double_cover_factor_matches_the_build_that_visits_every_root(monkeypatc
     searches = []
     alternating_path = oracle._alternating_path
 
-    def recording(adj, gv, fv, own, other, root):
-        path = alternating_path(adj, gv, fv, own, other, root)
+    def recording(adj, gv, fv, own, other, root, came_by_free=None):
+        path = alternating_path(adj, gv, fv, own, other, root, came_by_free)
         searches.append((root, tuple(own), tuple(other), path))
         return path
 
