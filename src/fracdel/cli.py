@@ -208,8 +208,9 @@ def _printed(args, records) -> Iterator:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared after: parsing leaves it unchanged.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built on the
+    first call and shared after: parsing leaves them unchanged.
 
     Not built at import, which would add its few milliseconds to every import.
     """
@@ -266,11 +267,28 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.set_defaults(handler=_cmd_scan)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The named command's parser reads its own arguments, in one pass.
+
+    Anything it cannot finish alone (no command named, or arguments left
+    over) goes through the full parser, so help, usage errors and their
+    exit codes are the full parser's own. The direct path does not set
+    ``command``; no handler reads it.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except (Graph6Error, SizeGuardError, ValueError, OSError) as exc:

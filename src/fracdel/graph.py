@@ -163,7 +163,7 @@ def _bits(mask: int) -> Iterator[int]:
 def _vertex_mask(g: Graph, vs: Iterable[int], name: str) -> int:
     mask = 0
     for v in vs:
-        v = int(v)
+        v = operator.index(v)  # a float raises instead of truncating
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} in {name} out of range for n={g.n}")
         mask |= 1 << v

@@ -160,11 +160,15 @@ class FractionalAssignment:
         }
 
 
-def _validate_ab(a: int, b: int) -> None:
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise ValueError(f"a and b must be integers, got {a!r}, {b!r}")
+def _validate_ab(a: int, b: int) -> tuple[int, int]:
+    """a and b as Python ints (numpy's integers too); ValueError unless integers with 1 <= a <= b."""
+    try:
+        a, b = operator.index(a), operator.index(b)
+    except TypeError:
+        raise ValueError(f"a and b must be integers, got {a!r}, {b!r}") from None
     if not (1 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
+    return a, b
 
 
 def _require_vertices(graph: Graph) -> None:
@@ -173,7 +177,7 @@ def _require_vertices(graph: Graph) -> None:
 
 
 def _vertex_tuple(graph: Graph, vs: Iterable[int], name: str) -> tuple[int, ...]:
-    out = sorted({int(v) for v in vs})
+    out = sorted({operator.index(v) for v in vs})  # a float raises instead of truncating
     for v in out:
         if not (0 <= v < graph.n):
             raise ValueError(f"vertex {v} in {name} out of range for n={graph.n}")
@@ -186,9 +190,9 @@ def _bounds_vectors(graph: Graph, g, f) -> tuple[tuple[int, ...], tuple[int, ...
         return _constant(g, graph.n), _constant(f, graph.n)  # the common case; a bad pair falls through to the error below
 
     def vec(x, name: str) -> tuple[int, ...]:
-        if isinstance(x, (int, np.integer)):
-            return (int(x),) * graph.n
-        xs = tuple(int(v) for v in x)
+        if not isinstance(x, Iterable):
+            return (operator.index(x),) * graph.n  # a float raises instead of truncating
+        xs = tuple(operator.index(v) for v in x)
         if len(xs) != graph.n:
             raise ValueError(f"{name} has length {len(xs)}, expected {graph.n}")
         return xs
@@ -314,7 +318,7 @@ def epsilon(graph: Graph, s: Iterable[int], t: Iterable[int]) -> int:
 
 def theta(graph: Graph, s: Iterable[int], t: Iterable[int], a: int, b: int) -> int:
     """b|S| + d_{G-S}(T) - a|T| for explicit disjoint S, T."""
-    _validate_ab(a, b)
+    a, b = _validate_ab(a, b)
     st = _vertex_tuple(graph, s, "S")
     tt = _vertex_tuple(graph, t, "T")
     return b * len(st) + degree_sum_minus(graph, st, tt) - a * len(tt)
@@ -329,7 +333,7 @@ def _derived_t(graph: Graph, smask: int, below: Sequence[int]) -> tuple[int, ...
 
 def deficiency_witness(graph: Graph, s: Iterable[int], a: int, b: int) -> DeficiencyWitness:
     """Evaluate the deleted-criterion inequality at S with its derived T."""
-    _validate_ab(a, b)
+    a, b = _validate_ab(a, b)
     _require_vertices(graph)
     st = _vertex_tuple(graph, s, "S")
     smask = sum(1 << v for v in st)
@@ -384,7 +388,7 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     found there needs the 2^n scan for its witness. The size guard applies
     to both of these verdicts, and to an edgeless graph.
     """
-    _validate_ab(a, b)
+    a, b = _validate_ab(a, b)
     _require_vertices(graph)
     if graph.edge_count and graph.min_degree() <= a:
         at_empty = deficiency_witness(graph, (), a, b)

@@ -144,7 +144,7 @@ def eval_theorem(
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
-    _validate_ab(a, b)
+    a, b = _validate_ab(a, b)
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
 
@@ -228,7 +228,7 @@ def verify_sharpness(n: int, a: int, b: int) -> SharpnessReport:
     DEFAULT_MARGIN, so both spectral hypotheses fail at equality. Any failed
     check raises SharpnessError.
     """
-    _validate_ab(a, b)
+    a, b = _validate_ab(a, b)
     if not (b >= max(a, 3) and n >= max(a + 2, 7)):
         raise ValueError(f"sharpness replay needs b >= max(a,3) and n >= max(a+2,7), got n={n}, a={a}, b={b}")
     gstar = extremal(n, a)
@@ -328,7 +328,7 @@ def scan(
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
-    _validate_ab(a, b)
+    a, b = _validate_ab(a, b)
     for index, raw in enumerate(lines, 1):
         text = raw.strip()
         if not text:

@@ -420,6 +420,77 @@ def test_usage_error_exits_2():
     assert ei.value.code == 2
 
 
+# main hands a named command's arguments to that command's parser alone, and anything
+# it cannot finish to the full parser: on this table both ways must print the same bytes
+CHECK = ["check", "--graph6", "F~~~w", "--a", "1", "--b", "3"]
+VALID_CALLS = [
+    ["construct", "--family", "extremal", "--n", "7", "--a", "1"],
+    ["spectral", "--graph6", "F~~~w"],
+    CHECK,
+    ["factor", "--graph6", "F~~{?", "--a", "1", "--b", "3"],
+    ["theorem", "--graph6", "F~~~w", "--theorem", "1.6", "--a", "1", "--b", "3"],
+    ["sharpness", "--n", "9", "--a", "2", "--b", "3"],
+    ["scan", "--graph6", "F~~{?", "--theorem", "1.4", "--a", "1", "--b", "3", "--format", "json"],
+]
+DISPATCH_TABLE = VALID_CALLS + [
+    ["-h", "check"],
+    ["check", "-h"],
+    ["check", "--graph6", "F~~~w", "--b", "3"],
+    ["check", "--graph6", "F~~~w", "--a", "x", "--b", "3"],
+    ["check", "--graph6", "F~~~w", "--file", "x.g6", "--a", "1", "--b", "3"],
+    CHECK + ["--tol", "1e-9"],
+    ["check", "--grap", "F~~~w", "--a", "1", "--b", "3"],
+    ["check", "--graph6", "F~~~w", "--a=1", "--b", "3"],
+    ["--", *CHECK],
+    CHECK + ["--"],
+    [],
+    ["deleted", "--graph6", "F~~~w"],
+]
+
+
+def _outcome(call):
+    """Exit code, stdout and stderr of one call, whether it returns or exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return fracdel.cli._parsers()[0].parse_args(argv)
+
+
+def _namespace(parse, argv):
+    """The parsed arguments without ``command``, or None when parsing exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit:
+            return None
+    return {k: v for k, v in vars(args).items() if k != "command"}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=lambda argv: " ".join(argv) or "empty")
+def test_dispatch_matches_the_full_parser(monkeypatch, argv):
+    assert _namespace(fracdel.cli._parse, argv) == _namespace(_full_parse, argv)
+    direct = _outcome(lambda: main(list(argv)))
+    monkeypatch.setattr(fracdel.cli, "_parse", _full_parse)
+    assert direct == _outcome(lambda: main(list(argv)))
+    if argv in VALID_CALLS:
+        assert direct[0] in (0, 1) and direct[1]
+    else:
+        assert direct[0] in (0, 2) and direct[1] + direct[2]
+
+
+@pytest.mark.parametrize("argv", VALID_CALLS, ids=lambda argv: argv[0])
+def test_a_named_command_is_parsed_by_its_own_parser_alone(argv):
+    # the full parser sets ``command``; the command's own parser does not
+    assert "command" not in vars(fracdel.cli._parse(argv))
+
+
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "one.g6"
     path.write_text("F~~{?\n", encoding="ascii")

@@ -210,6 +210,24 @@ def test_degree_sum_minus():
         degree_sum_minus(g, [3], [3])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, s, t: delete_vertices(g, s + t),
+        lambda g, s, t: cut_count(g, s, t),
+        lambda g, s, t: degree_sum_minus(g, s, t),
+    ],
+    ids=["delete_vertices", "cut_count", "degree_sum_minus"],
+)
+def test_vertex_sets_take_integers_only(call):
+    # a float vertex raises instead of truncating to its neighbour; numpy integers are integers
+    g = complete(4)
+    for s, t in (([0.5], [1]), ([0], [1.9]), ([np.float64(2.0)], [1])):
+        with pytest.raises(TypeError):
+            call(g, s, t)
+    assert call(g, [np.int64(0)], [np.uint8(1)]) == call(g, [0], [1])
+
+
 def test_degree_sum_minus_identity():
     # d_{G-S}(T) = sum of degrees over T minus the (S, T) cut
     rng = random.Random(37)

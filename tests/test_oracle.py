@@ -1,5 +1,6 @@
 """Factor oracles: criterion route, definitional route, flow certificates, integer factors."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -58,6 +59,25 @@ def test_theta_validation():
         theta(g, [0], [1], 0, 2)
     with pytest.raises(ValueError):
         theta(g, [0], [0], 1, 2)  # overlap
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, s, t: epsilon(g, s, t),
+        lambda g, s, t: theta(g, s, t, 1, 3),
+        lambda g, s, t: deficiency_witness(g, s + t, 1, 3),
+        lambda g, s, t: factor_deficiency_witness(g, s + t, 1, 2),
+    ],
+    ids=["epsilon", "theta", "deficiency_witness", "factor_deficiency_witness"],
+)
+def test_vertex_sets_take_integers_only(call):
+    # a float vertex raises instead of truncating to its neighbour; numpy integers are integers
+    g = complete(4)
+    for s, t in (([0.5], [1]), ([0], [1.9]), ([np.float64(2.0)], [1])):
+        with pytest.raises(TypeError):
+            call(g, s, t)
+    assert call(g, [np.int64(0)], [np.uint8(1)]) == call(g, [0], [1])
 
 
 def test_epsilon_cases():
@@ -151,6 +171,34 @@ def test_bounds_validation():
         has_fractional_gf_factor(g, [1, 1], 1)
     with pytest.raises(ValueError):
         has_fractional_gf_factor(Graph(0), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([1.5] * 5, 3), ([0.9] * 5, [3] * 5), (1.5, 3), (1, 3.0), ([1] * 4 + [1.0], 3), (np.float64(1.0), 3)],
+)
+def test_bounds_take_integers_only(lo, hi):
+    # a float bound raises instead of truncating to the g = 1 or g = 0 question
+    g = complete(5)
+    for call in (find_fractional_factor, has_fractional_gf_factor, lambda g, lo, hi: factor_deficiency_witness(g, [], lo, hi)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(g, lo, hi)
+
+
+def test_a_and_b_take_numpy_integers():
+    # the bounds path already took numpy integers; a and b take them too, and the reports stay plain ints
+    for graph in (complete(5), extremal(7, 1)):
+        want = is_fractional_ab_deleted(graph, 1, 3)
+        got = is_fractional_ab_deleted(graph, np.int64(1), np.int32(3))
+        assert got == want
+        if got[1] is not None:
+            assert json.dumps(got[1].to_json()) == json.dumps(want[1].to_json())
+    assert theta(complete(5), [0], [1], np.int64(3), np.int64(3)) == 3
+    witness = deficiency_witness(extremal(7, 1), [], np.int8(1), np.int16(3))
+    assert type(witness.theta) is int and witness == deficiency_witness(extremal(7, 1), [], 1, 3)
+    for a, b in ((1.0, 3), (1, 3.0), ("1", 3), (None, 3), (np.float64(1.0), 3)):
+        with pytest.raises(ValueError, match="a and b must be integers"):
+            is_fractional_ab_deleted(complete(5), a, b)
 
 
 # --- deleted criterion ---------------------------------------------------------
