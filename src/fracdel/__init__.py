@@ -19,7 +19,6 @@ from .graph import (
     parse_graph6,
     to_graph6,
 )
-from .maxflow import MaxFlow, feasible_flow
 from .oracle import (
     SUBSET_GUARD,
     DeficiencyWitness,

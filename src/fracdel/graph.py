@@ -58,8 +58,7 @@ class Graph:
     __slots__ = ("n", "_rows", "_edge_count", "_spectra", "_origin", "_build", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        n = _vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             u, v = operator.index(u), operator.index(v)  # a float raises instead of truncating
@@ -160,6 +159,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _vertex_count(n: int) -> int:
+    """n as a Python int (numpy's integers too): a float raises TypeError, a negative n ValueError."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    return n
+
+
 def _vertex_mask(g: Graph, vs: Iterable[int], name: str) -> int:
     mask = 0
     for v in vs:
@@ -172,8 +179,7 @@ def _vertex_mask(g: Graph, vs: Iterable[int], name: str) -> int:
 
 def complete(n: int) -> Graph:
     """K_n."""
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    n = _vertex_count(n)
     full = (1 << n) - 1
     return Graph._from_rows(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -202,6 +208,7 @@ def extremal(n: int, a: int) -> Graph:
     e = C(n-1,2) + a, and the minimum degree is a (attained at vertex n-1;
     for n >= a+3 vertex n-1 is the unique minimum-degree vertex).
     """
+    n, a = operator.index(n), operator.index(a)  # numpy's integers too; a float raises
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
     if n < a + 2:

@@ -1,133 +1,8 @@
-"""Integer max-flow (Dinic) and s-t flow feasibility with arc lower bounds."""
+"""Empty: the package has no max-flow code.
 
-from __future__ import annotations
-
-from collections import deque
-
-__all__ = ["MaxFlow", "feasible_flow"]
-
-
-class MaxFlow:
-    """Dinic's algorithm with integer capacities.
-
-    ``add_arc`` returns a handle; after ``max_flow`` the flow pushed through
-    that arc is ``arc_flow(handle)``. Arcs are stored in parallel arrays with
-    the reverse arc at handle^1.
-    """
-
-    def __init__(self, num_nodes: int):
-        self.n = num_nodes
-        self._adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        self._to: list[int] = []
-        self._cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, cap: int) -> int:
-        if cap < 0:
-            raise ValueError(f"capacity must be nonnegative, got {cap}")
-        handle = len(self._to)
-        self._to.append(v)
-        self._cap.append(cap)
-        self._adj[u].append(handle)
-        self._to.append(u)
-        self._cap.append(0)
-        self._adj[v].append(handle + 1)
-        return handle
-
-    def arc_flow(self, handle: int) -> int:
-        return self._cap[handle ^ 1]
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for h in self._adj[u]:
-                v = self._to[h]
-                if level[v] < 0 and self._cap[h] > 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _blocking(self, s: int, t: int, level: list[int]) -> int:
-        adj, to, cap = self._adj, self._to, self._cap
-        ptr = [0] * self.n
-        total = 0
-        path: list[int] = []  # arcs of the current partial path from s
-        u = s
-        while True:
-            if u == t:
-                push = min(cap[h] for h in path)
-                total += push
-                for h in path:
-                    cap[h] -= push
-                    cap[h ^ 1] += push
-                for i, h in enumerate(path):  # back up to the first saturated arc
-                    if cap[h] == 0:
-                        del path[i:]
-                        break
-                u = to[path[-1]] if path else s
-                continue
-            advanced = False
-            while ptr[u] < len(adj[u]):
-                h = adj[u][ptr[u]]
-                if cap[h] > 0 and level[to[h]] == level[u] + 1:
-                    path.append(h)
-                    u = to[h]
-                    advanced = True
-                    break
-                ptr[u] += 1
-            if advanced:
-                continue
-            if u == s:
-                return total
-            level[u] = -1  # dead end, prune from this phase
-            path.pop()
-            u = to[path[-1]] if path else s
-
-    def max_flow(self, s: int, t: int) -> int:
-        if s == t:
-            raise ValueError("source and sink must differ")
-        total = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return total
-            total += self._blocking(s, t, level)
-
-
-def feasible_flow(
-    num_nodes: int,
-    arcs: list[tuple[int, int, int, int]],
-    source: int,
-    sink: int,
-) -> list[int] | None:
-    """Find any s-t flow meeting per-arc [lower, upper] bounds, or None.
-
-    ``arcs`` entries are (u, v, lower, upper). Returns a list of flows
-    aligned with ``arcs``. Uses the standard reduction: send each lower
-    bound unconditionally, close the circulation with a sink->source arc,
-    and saturate the excess via a super source/sink max-flow.
-    """
-    excess = [0] * num_nodes
-    for u, v, lower, upper in arcs:
-        if not (0 <= lower <= upper):
-            raise ValueError(f"bad bounds [{lower}, {upper}] on arc ({u}, {v})")
-        excess[v] += lower
-        excess[u] -= lower
-
-    big = sum(upper for _, _, _, upper in arcs) + 1
-    super_s, super_t = num_nodes, num_nodes + 1
-    net = MaxFlow(num_nodes + 2)
-    handles = [net.add_arc(u, v, upper - lower) for u, v, lower, upper in arcs]
-    net.add_arc(sink, source, big)
-    need = 0
-    for z in range(num_nodes):
-        if excess[z] > 0:
-            net.add_arc(super_s, z, excess[z])
-            need += excess[z]
-        elif excess[z] < 0:
-            net.add_arc(z, super_t, -excess[z])
-    if net.max_flow(super_s, super_t) != need:
-        return None
-    return [arc[2] + net.arc_flow(h) for arc, h in zip(arcs, handles)]
+The certificate route runs on the bipartite double cover (``oracle``), and the
+tests' lower-bound flow reference runs on networkx's ``maximum_flow``
+(``tests/helpers.py``). This module stays only because the benchmark imports
+every module of its layer list by name; nothing in the package or the tests
+imports it. ROADMAP item 1b deletes it together with that layer entry.
+"""

@@ -32,7 +32,8 @@ violating S in (size, lex) order, and the scan must find one.
 The test suite compares these against the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
 subset criterion alone, per-edge certificates, the integer (g, f)-factor test
-and a lower-bound max-flow network for the certificate route.
+and, for the certificate route, a lower-bound flow network solved by
+networkx's max-flow.
 """
 
 from __future__ import annotations

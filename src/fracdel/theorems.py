@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, Graph6Error, complete, extremal, is_connected, parse_graph6
+from .graph import Graph, Graph6Error, _vertex_count, complete, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
 from .spectral import ConvergenceError, _check_graph6_guard, spectral_summary
 
@@ -228,7 +229,7 @@ def verify_sharpness(n: int, a: int, b: int) -> SharpnessReport:
     DEFAULT_MARGIN, so both spectral hypotheses fail at equality. Any failed
     check raises SharpnessError.
     """
-    a, b = _validate_ab(a, b)
+    n, (a, b) = operator.index(n), _validate_ab(a, b)  # numpy's integers too; a float raises
     if not (b >= max(a, 3) and n >= max(a + 2, 7)):
         raise ValueError(f"sharpness replay needs b >= max(a,3) and n >= max(a+2,7), got n={n}, a={a}, b={b}")
     gstar = extremal(n, a)
@@ -276,8 +277,7 @@ def graphs_with_min_edges(n: int, min_edges: int) -> Iterator[Graph]:
     Each graph is K_n's row masks with its removed pairs toggled; no edge
     list is built.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    n = _vertex_count(n)
     pairs = list(combinations(range(n), 2))
     total = len(pairs)
     if min_edges > total:

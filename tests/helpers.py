@@ -1,12 +1,13 @@
 """Shared test helpers: seeded random graphs, brute-force oracles and a solve counter.
 
 The cross-check oracles here (the per-edge definition of "deleted", the
-subset criterion alone, the lower-bound flow network for fractional factors,
-the weight-table check of a certificate, the double-cover build that visits
-every vertex as a root, the 3^n integer (g, f)-factor test and the edge-list
-enumeration of dense graphs) are the references the tests
-compare the library's routes against; the library itself does not use them,
-except that it reports a refutation's witness through the same subset scan.
+subset criterion alone, the lower-bound flow network for fractional factors
+solved by networkx's max-flow, the weight-table check of a certificate, the
+double-cover build that visits every vertex as a root, the 3^n integer
+(g, f)-factor test and the edge-list enumeration of dense graphs) are the
+references the tests compare the library's routes against; the library
+itself does not use them, except that it reports a refutation's witness
+through the same subset scan.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import random
 from itertools import combinations
 from typing import Iterator, Sequence
 
+import networkx as nx
+
 import fracdel.spectral
 from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected, oracle
 from fracdel.graph import _bits
-from fracdel.maxflow import feasible_flow
 from fracdel.oracle import (
     FractionalAssignment,
     _bounds_vectors,
@@ -132,35 +134,50 @@ def is_fractional_ab_deleted_by_subsets(graph: Graph, a: int, b: int, max_n: int
 
 
 def find_fractional_factor_by_flow(graph: Graph, g, f) -> FractionalAssignment | None:
-    """Reference for ``find_fractional_factor``: a flow with lower bounds on the double cover.
+    """Reference for ``find_fractional_factor``: a flow with lower bounds on the double cover, on networkx.
 
     Each edge uv becomes two unit arcs u -> v' and v -> u', and each vertex
     must pull between g(v) and f(v) on both sides. Integer flows there are
     exactly twice a half-integral factor, and the flow is feasible exactly
-    when a fractional (g, f)-factor exists.
+    when a fractional (g, f)-factor exists. The lower bounds are sent up
+    front: an uncapacitated sink -> source arc closes the circulation, and
+    the flow is feasible when networkx's ``maximum_flow`` from a super source
+    to a super sink saturates every arc that carries them.
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
     n = graph.n
     edges = list(graph.edges())
-    source, sink = 0, 1
-    left = lambda v: 2 + v
-    right = lambda v: 2 + n + v
-    arcs = []
+    source, sink, super_source, super_sink = 0, 1, 2, 3
+    left = lambda v: 4 + v
+    right = lambda v: 4 + n + v
+    arcs = []  # (tail, head, lower, upper)
     for v in range(n):
         arcs.append((source, left(v), gv[v], fv[v]))
         arcs.append((right(v), sink, gv[v], fv[v]))
-    edge_base = len(arcs)
     for u, v in edges:
         arcs.append((left(u), right(v), 0, 1))
         arcs.append((left(v), right(u), 0, 1))
-    flows = feasible_flow(2 + 2 * n, arcs, source, sink)
-    if flows is None:
+    net = nx.DiGraph()
+    net.add_nodes_from(range(4 + 2 * n))
+    net.add_edge(sink, source)  # no capacity attribute: networkx takes it as unbounded
+    excess = [0] * (4 + 2 * n)
+    for u, v, lower, upper in arcs:
+        net.add_edge(u, v, capacity=upper - lower)
+        excess[v] += lower
+        excess[u] -= lower
+    for z, x in enumerate(excess):
+        if x > 0:
+            net.add_edge(super_source, z, capacity=x)
+        elif x < 0:
+            net.add_edge(z, super_sink, capacity=-x)
+    value, flow = nx.maximum_flow(net, super_source, super_sink)
+    if value != sum(x for x in excess if x > 0):
         return None
     out = [0] * n
-    for k, (u, v) in enumerate(edges):
-        out[u] |= flows[edge_base + 2 * k] << v  # the arc u -> v' carries flow
-        out[v] |= flows[edge_base + 2 * k + 1] << u
+    for u, v in edges:
+        out[u] |= flow[left(u)][right(v)] << v  # the arc u -> v' carries flow
+        out[v] |= flow[left(v)][right(u)] << u
     return FractionalAssignment(graph._rows, tuple(out))
 
 

@@ -51,6 +51,17 @@ def test_construction_validation():
         Graph(3, [(1, 1)])
 
 
+def test_graph_vertex_count_takes_integers_only():
+    # numpy's integers are counts, a bool becomes a plain int, and a float raises instead of truncating
+    g = Graph(np.int64(3), [(0, 1)])
+    assert g == Graph(3, [(0, 1)]) and type(g.n) is int
+    assert Graph(True).n == 1 and type(Graph(True).n) is int
+    with pytest.raises(TypeError):
+        Graph(3.0)
+    with pytest.raises(ValueError):
+        Graph(np.int8(-1))
+
+
 def test_empty_and_trivial_graphs():
     g0 = Graph(0)
     assert g0.n == 0 and g0.edge_count == 0 and g0.degrees() == ()
@@ -74,6 +85,17 @@ def test_complete(n):
     assert g.n == n
     assert g.edge_count == n * (n - 1) // 2
     assert all(d == n - 1 for d in g.degrees())
+
+
+def test_complete_takes_integer_counts_only():
+    # a numpy count past 63 would overflow the row shift
+    for n in (7, 70):
+        g = complete(np.int64(n))
+        assert g == complete(n) and type(g.n) is int and g.edge_count == n * (n - 1) // 2
+    with pytest.raises(TypeError):
+        complete(7.0)
+    with pytest.raises(ValueError):
+        complete(np.int64(-1))
 
 
 def test_disjoint_union():
@@ -122,6 +144,14 @@ def test_extremal_validation():
         extremal(4, 3)
     with pytest.raises(ValueError):
         extremal(7, 0)
+
+
+def test_extremal_takes_integers_only():
+    g = extremal(np.int64(70), np.uint8(3))
+    assert g == extremal(70, 3) and type(g.n) is int
+    for n, a in ((9.0, 2), (9, 2.0)):
+        with pytest.raises(TypeError):
+            extremal(n, a)
 
 
 def test_delete_edge():

@@ -25,6 +25,7 @@ from fracdel import (
     join,
     parse_graph6,
     theta,
+    to_graph6,
 )
 from fracdel import oracle
 from fracdel.graph import _bits
@@ -278,25 +279,32 @@ def test_reported_witness_is_first_in_size_lex_order():
 
 # Witness ordering on planted graphs. Each plants hub vertices (the expected S)
 # that share pendant vertices, over a random core, so that every S earlier in
-# (size, lex) order passes. All but the n = 14 ones have S past the first 2^15
-# subset masks. Some also fail at a numerically smaller mask that comes later
-# in (size, lex) order: {5, 6} and {4, 7} in another mask chunk, {1, 2} in the
-# same one. Expected witnesses were computed by enumerating S as sorted tuples
-# in (size, lex) order.
+# (size, lex) order passes. Of these, all but the n = 14 ones have S past the
+# first 2^15 subset masks. Some also fail at a numerically smaller mask that
+# comes later in (size, lex) order: {5, 6} and {4, 7} in another mask chunk,
+# {1, 2} in the same one. Expected witnesses were computed by enumerating S as
+# sorted tuples in (size, lex) order. Both tables end with the complete split graphs
+# K_s ∨ (s+1)K_1, s = 3..7, where |S| = s = (n - 1)/2: the first violating S
+# is the hub, which leaves s + 1 isolated vertices.
+SPLIT = [
+    (to_graph6(join(complete(s), Graph(s + 1))), 1, 1,
+     {"S": list(range(s)), "T": list(range(s, 2 * s + 1)), "theta": -1, "epsilon": 0})
+    for s in range(3, 8)
+]
 ORDERING_DELETED = [
     ("MB_ICH_P_Kk?`?oc?", 1, 1, {"S": [0, 5], "T": [4, 7, 12], "theta": -1, "epsilon": 0}),
     ("PGWXYxYZzuO?T{^ql|RZvbzs", 1, 1, {"S": [16], "T": [0, 11], "theta": 1, "epsilon": 2}),
     ("Q^b^p{GAF}^HA?nrYonUQVrMA}?", 1, 1, {"S": [4, 17], "T": [8, 9, 12], "theta": -1, "epsilon": 0}),
     ("Q[F??NqwGKIe@_[lA?FdIIGWO?G", 1, 1, {"S": [3, 16], "T": [4, 14, 17], "theta": -1, "epsilon": 0}),
     ("SJtvw@s?@|^dlhpHVtaicnjjubW??_y_[", 1, 1, {"S": [15, 19], "T": [7, 9, 18], "theta": -1, "epsilon": 0}),
-]
+] + SPLIT
 ORDERING_FACTOR = [
     ("MDo[Hx_tR?K?`?`??", 1, 1, {"S": [0, 5], "T": [6, 12, 13], "theta": -1, "epsilon": 0}),
     ("PNJ\\^UwXw?J{}c??R{tVUn|G", 1, 1, {"S": [15], "T": [10, 13], "theta": -1, "epsilon": 0}),
     ("Q~zg???mFoLBnF|Evby?N~{Ts\\w", 1, 2, {"S": [16], "T": [6, 7, 8], "theta": -1, "epsilon": 0}),
     ("StsxjyzF]ft~G?G?Vq`??vKH{{g`UnNwO", 1, 1, {"S": [2, 18], "T": [12, 13, 15], "theta": -1, "epsilon": 0}),
     ("Sm?IChZOEvG?ugu?zL]pTuioH??Q?@c}O", 1, 1, {"S": [1, 19], "T": [2, 9, 11], "theta": -1, "epsilon": 0}),
-]
+] + SPLIT
 
 
 @pytest.mark.parametrize("g6, a, b, expected", ORDERING_DELETED)
@@ -534,6 +542,7 @@ def test_flow_certificate_agrees_with_the_lower_bound_network():
             infeasible += 1
         else:
             assert got.satisfies(g, gl, fu)
+            assert ref.satisfies(g, gl, fu)
         gv = [gl] * n if isinstance(gl, int) else gl
         fv = [fu] * n if isinstance(fu, int) else fu
         seen |= {

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 import fracdel.theorems
@@ -144,6 +145,13 @@ def test_verify_sharpness_validation():
         verify_sharpness(9, 2, 2)  # b < 3
 
 
+def test_verify_sharpness_takes_integer_counts_only():
+    rep = verify_sharpness(np.int64(7), 1, 3)
+    assert type(rep.n) is int and rep.to_json() == verify_sharpness(7, 1, 3).to_json()
+    with pytest.raises(TypeError):
+        verify_sharpness(7.0, 1, 3)
+
+
 def test_verify_sharpness_detects_violation(monkeypatch):
     monkeypatch.setattr(fracdel.theorems, "is_fractional_ab_deleted", lambda *a, **k: (True, None))
     with pytest.raises(SharpnessError):
@@ -212,6 +220,15 @@ def test_graphs_with_min_edges_counts():
     assert len(set(graphs)) == len(graphs)  # labeled graphs, no repeats
     assert list(graphs_with_min_edges(3, 4)) == []
     assert len(list(graphs_with_min_edges(3, 0))) == 8
+
+
+def test_graphs_with_min_edges_takes_integer_counts_only():
+    got = list(graphs_with_min_edges(np.int64(4), 6))
+    assert got == list(graphs_with_min_edges(4, 6)) and all(type(g.n) is int for g in got)
+    with pytest.raises(TypeError):
+        list(graphs_with_min_edges(4.0, 6))
+    with pytest.raises(ValueError):
+        list(graphs_with_min_edges(np.int64(-1), 0))
 
 
 def test_graphs_with_min_edges_matches_the_edge_list_reference():
