@@ -168,6 +168,7 @@ def _vertex_count(n: int) -> int:
 
 
 def _vertex_mask(g: Graph, vs: Iterable[int], name: str) -> int:
+    """vs as a mask of g's vertices, each checked in input order: an error names the first bad one."""
     mask = 0
     for v in vs:
         v = operator.index(v)  # a float raises instead of truncating
@@ -255,15 +256,21 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]
     return Graph._from_rows(len(kept), tuple(rows)), relabel
 
 
+def _disjoint_masks(g: Graph, s: Iterable[int], t: Iterable[int]) -> tuple[int, int]:
+    """S and T as vertex masks: S checked in input order, then T, then that they are disjoint."""
+    smask = _vertex_mask(g, s, "S")
+    tmask = _vertex_mask(g, t, "T")
+    if smask & tmask:
+        raise ValueError("S and T must be disjoint")
+    return smask, tmask
+
+
 def cut_count(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
     """e_G(S, T): number of edges with one end in S and the other in T.
 
     S and T must be disjoint.
     """
-    smask = _vertex_mask(g, s, "S")
-    tmask = _vertex_mask(g, t, "T")
-    if smask & tmask:
-        raise ValueError("S and T must be disjoint")
+    smask, tmask = _disjoint_masks(g, s, t)
     return sum((g._rows[v] & smask).bit_count() for v in _bits(tmask))
 
 
@@ -272,10 +279,7 @@ def degree_sum_minus(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
 
     S and T must be disjoint.
     """
-    smask = _vertex_mask(g, s, "S")
-    tmask = _vertex_mask(g, t, "T")
-    if smask & tmask:
-        raise ValueError("S and T must be disjoint")
+    smask, tmask = _disjoint_masks(g, s, t)
     return sum((g._rows[v] & ~smask).bit_count() for v in _bits(tmask))
 
 

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _bits, degree_sum_minus
+from .graph import Graph, _bits, _disjoint_masks, _vertex_mask
 
 __all__ = [
     "SUBSET_GUARD",
@@ -177,14 +177,6 @@ def _require_vertices(graph: Graph) -> None:
         raise ValueError("graph must have at least one vertex")
 
 
-def _vertex_tuple(graph: Graph, vs: Iterable[int], name: str) -> tuple[int, ...]:
-    out = sorted({operator.index(v) for v in vs})  # a float raises instead of truncating
-    for v in out:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex {v} in {name} out of range for n={graph.n}")
-    return tuple(out)
-
-
 def _bounds_vectors(graph: Graph, g, f) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Normalize g and f (int constants or per-vertex sequences) to tuples."""
     if type(g) is int and type(f) is int and (0 <= g <= f or not graph.n):
@@ -266,11 +258,12 @@ def _chunk_violations(adj, full, s, below, f, g, with_epsilon) -> np.ndarray:
     return s[value < eps]
 
 
-def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, witness):
-    """(True, None), or (False, witness(S)) for the first S in (size, lex) order with
+def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, rule: str):
+    """(True, None), or (False, witness) for the first S in (size, lex) order with
     f(S) + d_{G-S}(T) - g(T) < epsilon(S, T), where T = {v not in S : d_{G-S}(v) < below[v]}.
 
-    epsilon is 0 unless with_epsilon. A witness that passes when recomputed is a kernel bug.
+    epsilon is 0 unless with_epsilon. The witness is ``_witness`` at that S; one
+    that passes there is a kernel bug.
     """
     n = graph.n
     adj = [np.uint64(graph.adjacency_mask(v)) for v in range(n)]
@@ -291,7 +284,7 @@ def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, witness):
                 break
     if best[0] > n:
         return True, None
-    found = witness(best[1])
+    found = _witness(graph, sum(1 << v for v in best[1]), below, f, g, with_epsilon, rule)
     if found.satisfied:
         raise RuntimeError(f"subset kernel reported S={list(found.s)}, which satisfies the {found.rule} criterion")
     return False, found
@@ -300,59 +293,60 @@ def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, witness):
 # --- criterion pieces -------------------------------------------------------
 
 
+def _witness(graph: Graph, smask: int, below, f, g, with_epsilon: bool, rule: str) -> DeficiencyWitness:
+    """The criterion at the vertex mask S, as the subset kernel states it: T = {v not in S :
+    d_{G-S}(v) < below[v]}, and theta = f(S) + d_{G-S}(T) - g(T) must reach epsilon(S, T),
+    or 0 unless with_epsilon."""
+    rows = graph._rows
+    tmask = d_t = 0
+    for v, row in enumerate(rows):
+        d = (row & ~smask).bit_count()
+        if d < below[v] and not smask >> v & 1:
+            tmask |= 1 << v
+            d_t += d
+    value = sum(f[v] for v in _bits(smask)) + d_t - sum(g[v] for v in _bits(tmask))
+    eps = _epsilon(rows, smask, tmask) if with_epsilon else 0
+    return DeficiencyWitness(tuple(_bits(smask)), tuple(_bits(tmask)), value, eps, rule, value >= eps)
+
+
+def _epsilon(rows: Sequence[int], smask: int, tmask: int) -> int:
+    t_rows = [rows[v] for v in _bits(tmask)]
+    if any(row & tmask for row in t_rows):
+        return 2
+    return 1 if any(row & ~smask for row in t_rows) else 0  # T is independent: a neighbour outside S is outside S u T
+
+
 def epsilon(graph: Graph, s: Iterable[int], t: Iterable[int]) -> int:
     """2 if T is not independent; else 1 if some T-vertex has a neighbor
-    outside S u T; else 0. S and T must be disjoint."""
-    st = _vertex_tuple(graph, s, "S")
-    tt = _vertex_tuple(graph, t, "T")
-    smask = sum(1 << v for v in st)
-    tmask = sum(1 << v for v in tt)
-    if smask & tmask:
-        raise ValueError("S and T must be disjoint")
-    if any(graph.adjacency_mask(v) & tmask for v in tt):
-        return 2
-    rest = graph.full_mask() & ~(smask | tmask)
-    if any(graph.adjacency_mask(v) & rest for v in tt):
-        return 1
-    return 0
+    outside S u T; else 0. S and T must be disjoint. S and T are checked once, and an
+    error names the first out-of-range vertex in input order."""
+    return _epsilon(graph._rows, *_disjoint_masks(graph, s, t))
 
 
 def theta(graph: Graph, s: Iterable[int], t: Iterable[int], a: int, b: int) -> int:
-    """b|S| + d_{G-S}(T) - a|T| for explicit disjoint S, T."""
+    """b|S| + d_{G-S}(T) - a|T| for explicit disjoint S, T. S and T are checked once, and an
+    error names the first out-of-range vertex in input order."""
     a, b = _validate_ab(a, b)
-    st = _vertex_tuple(graph, s, "S")
-    tt = _vertex_tuple(graph, t, "T")
-    return b * len(st) + degree_sum_minus(graph, st, tt) - a * len(tt)
-
-
-def _derived_t(graph: Graph, smask: int, below: Sequence[int]) -> tuple[int, ...]:
-    return tuple(
-        v for v in range(graph.n)
-        if not smask >> v & 1 and (graph.adjacency_mask(v) & ~smask).bit_count() < below[v]
-    )
+    smask, tmask = _disjoint_masks(graph, s, t)
+    d_t = sum((graph._rows[v] & ~smask).bit_count() for v in _bits(tmask))
+    return b * smask.bit_count() + d_t - a * tmask.bit_count()
 
 
 def deficiency_witness(graph: Graph, s: Iterable[int], a: int, b: int) -> DeficiencyWitness:
-    """Evaluate the deleted-criterion inequality at S with its derived T."""
+    """The deleted criterion at S with its derived T. S is checked once, and an error
+    names the first out-of-range vertex in input order."""
     a, b = _validate_ab(a, b)
     _require_vertices(graph)
-    st = _vertex_tuple(graph, s, "S")
-    smask = sum(1 << v for v in st)
-    tt = _derived_t(graph, smask, [a + 1] * graph.n)
-    th = theta(graph, st, tt, a, b)
-    ep = epsilon(graph, st, tt)
-    return DeficiencyWitness(st, tt, th, ep, rule="deleted", satisfied=th >= ep)
+    n = graph.n
+    return _witness(graph, _vertex_mask(graph, s, "S"), (a + 1,) * n, (b,) * n, (a,) * n, True, "deleted")
 
 
 def factor_deficiency_witness(graph: Graph, s: Iterable[int], g, f) -> DeficiencyWitness:
-    """Evaluate the fractional (g, f)-factor inequality at S with its derived T."""
+    """The fractional (g, f)-factor criterion at S with its derived T. S is checked once,
+    and an error names the first out-of-range vertex in input order."""
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    st = _vertex_tuple(graph, s, "S")
-    smask = sum(1 << v for v in st)
-    tt = _derived_t(graph, smask, gv)
-    value = sum(fv[v] for v in st) + degree_sum_minus(graph, st, tt) - sum(gv[v] for v in tt)
-    return DeficiencyWitness(st, tt, value, 0, rule="factor", satisfied=value >= 0)
+    return _witness(graph, _vertex_mask(graph, s, "S"), gv, fv, gv, False, "factor")
 
 
 # --- deciders ----------------------------------------------------------------
@@ -368,7 +362,7 @@ def has_fractional_gf_factor(graph: Graph, g, f, max_n: int | None = None):
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
     _check_subset_guard(graph.n, max_n)
-    return _subset_decide(graph, gv, fv, gv, False, lambda s: factor_deficiency_witness(graph, s, gv, fv))
+    return _subset_decide(graph, gv, fv, gv, False, "factor")
 
 
 def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = None):
@@ -411,7 +405,7 @@ def _subset_deleted(graph: Graph, a: int, b: int):
     """The subset criterion alone, on a graph with at least one edge: (True, None),
     or (False, witness) for the first violating S in (size, lex) order."""
     n = graph.n
-    return _subset_decide(graph, (a + 1,) * n, (b,) * n, (a,) * n, True, lambda s: deficiency_witness(graph, s, a, b))
+    return _subset_decide(graph, (a + 1,) * n, (b,) * n, (a,) * n, True, "deleted")
 
 
 # --- double-cover b-matching ---------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random graphs, brute-force oracles and a solve counter.
 
 The cross-check oracles here (the per-edge definition of "deleted", the
-subset criterion alone, the lower-bound flow network for fractional factors
+subset criterion alone, T, theta and epsilon as explicit loops over
+``has_edge`` and ``degree``, the lower-bound flow network for fractional factors
 solved by networkx's max-flow, the weight-table check of a certificate, the
 double-cover build that visits every vertex as a root, the 3^n integer
 (g, f)-factor test and the edge-list enumeration of dense graphs) are the
@@ -131,6 +132,33 @@ def is_fractional_ab_deleted_by_subsets(graph: Graph, a: int, b: int, max_n: int
     if graph.edge_count == 0:
         return True, None
     return _subset_deleted(graph, a, b)
+
+
+def degree_minus(graph: Graph, v: int, s) -> int:
+    """d_{G-S}(v), counted with ``has_edge``."""
+    return graph.degree(v) - sum(graph.has_edge(v, u) for u in set(s))
+
+
+def low_degree_set(graph: Graph, s, below: Sequence[int]) -> tuple[int, ...]:
+    """Reference for the derived T: the vertices v outside S with d_{G-S}(v) < below[v], in increasing order."""
+    s = set(s)
+    return tuple(v for v in range(graph.n) if v not in s and degree_minus(graph, v, s) < below[v])
+
+
+def theta_by_loops(graph: Graph, s, t, f: Sequence[int], g: Sequence[int]) -> int:
+    """Reference for theta: f(S) + d_{G-S}(T) - g(T), with per-vertex f and g."""
+    s, t = set(s), set(t)
+    return sum(f[v] for v in s) + sum(degree_minus(graph, v, s) for v in t) - sum(g[v] for v in t)
+
+
+def epsilon_by_loops(graph: Graph, s, t) -> int:
+    """Reference for epsilon: 2 if an edge joins two T-vertices, else 1 if one joins T to
+    a vertex outside S u T, else 0."""
+    s, t = set(s), set(t)
+    if any(graph.has_edge(u, v) for u in t for v in t if u < v):
+        return 2
+    rest = [w for w in range(graph.n) if w not in s and w not in t]
+    return 1 if any(graph.has_edge(v, w) for v in t for w in rest) else 0
 
 
 def find_fractional_factor_by_flow(graph: Graph, g, f) -> FractionalAssignment | None:

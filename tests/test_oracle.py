@@ -13,8 +13,11 @@ from fracdel import (
     Graph,
     SizeGuardError,
     complete,
+    cut_count,
     deficiency_witness,
+    degree_sum_minus,
     delete_edge,
+    delete_vertices,
     disjoint_union,
     epsilon,
     extremal,
@@ -29,19 +32,22 @@ from fracdel import (
 )
 from fracdel import oracle
 from fracdel.graph import _bits
-from fracdel.oracle import FractionalAssignment, _alternating_path, _greedy_start
+from fracdel.oracle import DeficiencyWitness, FractionalAssignment, _alternating_path, _greedy_start
 from helpers import (
     cycle_graph,
+    epsilon_by_loops,
     find_fractional_factor_by_flow,
     gnp,
     has_gf_factor_lovasz,
     has_perfect_matching,
     is_fractional_ab_deleted_by_edges,
     is_fractional_ab_deleted_by_subsets,
+    low_degree_set,
     path_graph,
     reference_double_cover_factor,
     satisfies_by_halves,
     star_graph,
+    theta_by_loops,
 )
 
 
@@ -79,6 +85,32 @@ def test_vertex_sets_take_integers_only(call):
         with pytest.raises(TypeError):
             call(g, s, t)
     assert call(g, [np.int64(0)], [np.uint8(1)]) == call(g, [0], [1])
+
+
+SET_CALLS = {
+    "delete_vertices": lambda g, s, t: delete_vertices(g, s + t),
+    "cut_count": cut_count,
+    "degree_sum_minus": degree_sum_minus,
+    "epsilon": epsilon,
+    "theta": lambda g, s, t: theta(g, s, t, 1, 3),
+    "deficiency_witness": lambda g, s, t: deficiency_witness(g, s + t, 1, 3),
+    "factor_deficiency_witness": lambda g, s, t: factor_deficiency_witness(g, s + t, [1, 0, 2, 1, 0, 1, 2, 1], 2),
+}
+
+
+@pytest.mark.parametrize("name", SET_CALLS)
+def test_one_error_rule_for_vertex_sets(name):
+    # every function that takes S or T names the first out-of-range vertex in input
+    # order, and reads a set as a set: order and repeats change nothing
+    call = SET_CALLS[name]
+    g = gnp(8, 0.5, random.Random(11))
+    n = g.n
+    with pytest.raises(ValueError, match=f"^vertex {n + 5} in S out of range for n={n}$"):
+        call(g, [0, n + 5, n + 1], [])
+    if name not in ("delete_vertices", "deficiency_witness", "factor_deficiency_witness"):
+        with pytest.raises(ValueError, match=f"^vertex {n + 5} in T out of range for n={n}$"):
+            call(g, [0], [n + 5, n + 1])
+    assert call(g, [6, 0, 6, 2], [5, 3, 5]) == call(g, [0, 2, 6], [3, 5])
 
 
 def test_epsilon_cases():
@@ -121,26 +153,33 @@ def test_deficiency_witness_satisfied_case():
 
 
 def test_witnesses_recompute_from_scratch():
+    # the four criterion functions against explicit loops over has_edge and degree, on
+    # random S given unsorted and with repeats; per-vertex bounds for the factor rule
     rng = random.Random(73)
-    for _ in range(40):
-        g = gnp(rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]), rng)
-        s = [v for v in range(g.n) if rng.random() < 0.3]
-        a = rng.randint(1, 3)
-        b = a + rng.randint(0, 2)
-        w = deficiency_witness(g, s, a, b)
-        # T is exactly the derived low-degree set
-        smask = sum(1 << v for v in w.s)
-        expected_t = tuple(
-            v for v in range(g.n)
-            if not smask >> v & 1 and (g.adjacency_mask(v) & ~smask).bit_count() <= a
-        )
-        assert w.t == expected_t
-        assert w.theta == theta(g, w.s, w.t, a, b)
-        assert w.epsilon == epsilon(g, w.s, w.t)
-        assert w.satisfied == (w.theta >= w.epsilon)
-
-
-# --- fractional (g, f)-factor test --------------------------------------------
+    outcomes = set()
+    for n in range(1, 13):
+        for _ in range(25):
+            g = gnp(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            s = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+            s_sorted = tuple(sorted(set(s)))
+            a = rng.randint(1, 3)
+            b = a + rng.randint(0, 2)
+            t = low_degree_set(g, s, [a + 1] * n)
+            th, ep = theta_by_loops(g, s, t, [b] * n, [a] * n), epsilon_by_loops(g, s, t)
+            assert deficiency_witness(g, s, a, b) == DeficiencyWitness(s_sorted, t, th, ep, "deleted", th >= ep)
+            outcomes.add(("deleted", th >= ep))
+            # theta and epsilon on an explicit T: the derived one, and a random one off S, repeats included
+            rest = [v for v in range(n) if v not in s_sorted]
+            for t in (t, rng.sample(rest, rng.randint(0, len(rest))) * 2):
+                assert theta(g, s, t, a, b) == theta_by_loops(g, s, t, [b] * n, [a] * n)
+                assert epsilon(g, s, t) == epsilon_by_loops(g, s, t)
+            gv = [rng.randint(0, 3) for _ in range(n)]
+            fv = [x + rng.randint(0, 2) for x in gv]
+            t = low_degree_set(g, s, gv)
+            th = theta_by_loops(g, s, t, fv, gv)
+            assert factor_deficiency_witness(g, s, gv, fv) == DeficiencyWitness(s_sorted, t, th, 0, "factor", th >= 0)
+            outcomes.add(("factor", th >= 0))
+    assert len(outcomes) == 4
 
 
 def test_fractional_factor_small_cases():
