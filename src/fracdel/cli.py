@@ -67,11 +67,14 @@ def _tsv_cell(value) -> str:
 
 @contextmanager
 def _input_lines(args) -> Iterator[Iterable[str]]:
-    """The graph input as lines: --graph6, else --file (opened here, read lazily), else stdin."""
+    """The graph input as lines: --graph6, else --file (opened here, read lazily), else stdin.
+
+    The file is read as latin-1, which maps each byte to the character of the same value,
+    so a non-ASCII byte reaches the graph6 parser, and its error names that byte."""
     if getattr(args, "graph6", None) is not None:
         yield [args.graph6]
     elif getattr(args, "file", None):
-        with open(args.file, encoding="ascii") as fh:
+        with open(args.file, encoding="latin-1") as fh:
             yield fh
     else:
         yield sys.stdin

@@ -18,6 +18,10 @@ Two routes underlie everything here:
   is that factor's arc masks: a weight is read from two bits, and the exact
   check is a mask comparison and popcounts, with no per-edge table.
 
+Every double-cover factor, the certificate's and each one below, is raised by
+one routine, ``_double_cover_factor``, from an explicit start: the arc masks
+and, on each side, the vertices that may be below g, which alone root searches.
+
 ``is_fractional_ab_deleted`` uses both. A vertex of degree <= a refutes G
 at S = {} before anything is built. Otherwise a true verdict comes from the
 double cover in polynomial time. One factor F0 of G is built; an edge
@@ -25,9 +29,9 @@ outside its support leaves F0 a factor of G - e. A second factor F1 is built
 with its greedy start steered off F0's support, and covers the edges outside
 its own support the same way. Each edge that both F0 and F1 use is dropped
 from a fresh copy of whichever of them holds fewer of its two arcs, which
-alternating paths then repair; every repair succeeds exactly when G is
-deleted. Only a refutation past that runs the 2^n scan, to report the first
-violating S in (size, lex) order, and the scan must find one.
+is raised again from the edge's two ends; every repair succeeds exactly
+when G is deleted. Only a refutation past that runs the 2^n scan, to report
+the first violating S in (size, lex) order, and the scan must find one.
 
 The test suite compares these against the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
@@ -534,39 +538,29 @@ def _flip(path: list[int], own: list[int], other: list[int]) -> None:
         other[y] ^= 1 << x
 
 
-def _raise_to_g(adj, gv, fv, own: list[int], other: list[int], roots: int, stepped: dict | None = None) -> bool:
-    """Raise the own-side vertices in roots to g, in increasing order, by flipping alternating
-    paths; False if one cannot be. Every own-side vertex outside roots must already be at g or above.
+def _double_cover_factor(adj, gv, fv, start, stepped=None) -> tuple[list[int], list[int]] | None:
+    """Raise start = (out, into, short, below) in place to a (g, f)-factor of the double cover.
 
-    ``stepped``, if given, gathers every search's free steps, as own-side x -> mask of the y stepped to."""
-    for root in _bits(roots):
-        while own[root].bit_count() < gv[root]:
-            came = None if stepped is None else {}
-            path = _alternating_path(adj, gv, fv, own, other, root, came)
-            if came:
-                for y, x in came.items():
-                    stepped[x] = stepped.get(x, 0) | 1 << y
-            if path is None:
-                return False
-            _flip(path, own, other)
-    return True
-
-
-def _double_cover_factor(adj, gv, fv, avoid=None, start=None, stepped=None) -> tuple[list[int], list[int]] | None:
-    """A (g, f)-factor of the double cover as (out, into) masks, or None if there is none.
-
-    ``start``, if given, is the greedy start (out, into, short, below) of adj at
-    these bounds, with no avoid; the raises work on copies of its masks.
-    ``stepped``, if given, gathers the free steps of both sides' searches (see ``_raise_to_g``).
+    The left vertices in short are raised to g, in increasing order, by flipping
+    alternating paths, then the right copies in below the same way. Returns
+    (out, into), or None when a search fails, which proves there is no factor.
+    Every other vertex, on either side, must already be at g or above, and
+    every degree at most f. ``stepped``, if given, gathers every search's free
+    steps, as own-side x -> mask of the y stepped to.
     """
-    if start is None:
-        out, into, short, below = _greedy_start(adj, gv, fv, avoid)
-    else:
-        out, into, short, below = start
-        out, into = list(out), list(into)
-    if _raise_to_g(adj, gv, fv, out, into, short, stepped) and _raise_to_g(adj, gv, fv, into, out, below, stepped):
-        return out, into
-    return None
+    out, into, short, below = start
+    for own, other, roots in ((out, into, short), (into, out, below)):
+        for root in _bits(roots):
+            while own[root].bit_count() < gv[root]:
+                came = None if stepped is None else {}
+                path = _alternating_path(adj, gv, fv, own, other, root, came)
+                if came:
+                    for y, x in came.items():
+                        stepped[x] = stepped.get(x, 0) | 1 << y
+                if path is None:
+                    return None
+                _flip(path, own, other)
+    return out, into
 
 
 def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
@@ -581,18 +575,19 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     share are left: for each, a fresh copy of whichever of F0 and F1 holds
     fewer of the edge's two arcs (F0 on a tie) loses them, which lowers two
     degrees by one per arc dropped and keeps every degree <= b, and is
-    raised again on the left side and then the right. Raising is exact from
-    any such start, so a failed search means G - uv has no factor.
+    raised again from u and v on the left side and then the right. Raising
+    is exact from any such start, so a failed search means G - uv has no
+    factor.
     """
     n = graph.n
     gv, fv = (a,) * n, (b,) * n
     adj = list(graph._rows)
-    found = _double_cover_factor(adj, gv, fv)
+    found = _double_cover_factor(adj, gv, fv, _greedy_start(adj, gv, fv))
     if found is None:
         return False
     out0, into0 = found
     support0 = [out0[u] | into0[u] for u in range(n)]
-    found = _double_cover_factor(adj, gv, fv, avoid=support0)
+    found = _double_cover_factor(adj, gv, fv, _greedy_start(adj, gv, fv, support0))
     if found is None:
         raise RuntimeError("the double cover has the [a, b]-factor F0, but the build of F1 found none")
     out1, into1 = found
@@ -607,7 +602,7 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
                 out[x] &= ~(1 << y)
                 into[y] &= ~(1 << x)
             ends = 1 << u | 1 << v  # the only vertices, on either side, that lost an arc
-            if not (_raise_to_g(adj_e, gv, fv, out, into, ends) and _raise_to_g(adj_e, gv, fv, into, out, ends)):
+            if _double_cover_factor(adj_e, gv, fv, (out, into, ends, ends)) is None:
                 return False
     return True
 
@@ -622,8 +617,9 @@ def _fresh_build(graph: Graph, gv, fv, start=None) -> tuple:
     if start is None:
         out, into, short, below = _greedy_start(graph._rows, gv, fv)
         start = tuple(out), tuple(into), short, below
+    out, into, short, below = start
     stepped = {}
-    found = _double_cover_factor(graph._rows, gv, fv, start=start, stepped=stepped)
+    found = _double_cover_factor(graph._rows, gv, fv, (list(out), list(into), short, below), stepped)
     graph._build = kept = (gv, fv), start, None if found is None else tuple(found[0]), stepped
     return kept
 

@@ -361,7 +361,7 @@ def summarize(records: Iterable[ScanRecord]) -> dict:
             oracle_true += 1
         elif isinstance(report.oracle_verdict, str):
             skipped += 1
-        if not report.consistent:
+        if record.is_counterexample:
             counterexamples += 1
     return {
         "graphs": graphs,

@@ -210,7 +210,8 @@ def find_fractional_factor_by_flow(graph: Graph, g, f) -> FractionalAssignment |
 
 
 def reference_double_cover_factor(adj, gv, fv, avoid=None) -> tuple[list[int], list[int]] | None:
-    """Reference for ``oracle._double_cover_factor``, with no deficit masks passed forward.
+    """Reference for ``oracle._double_cover_factor`` raising ``oracle._greedy_start(adj, gv, fv, avoid)``,
+    with no deficit masks passed forward.
 
     The greedy start rebuilds its masks from the bounds and counts each right
     copy's degree with a popcount, and each side's raise visits every vertex

@@ -1,6 +1,7 @@
 """CLI subcommands, output schemas, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,9 @@ from fracdel import (
     ConvergenceError,
     Graph,
     complete,
+    delete_edge,
     extremal,
+    find_fractional_factor,
     parse_graph6,
     scan,
     spectral_summary,
@@ -332,6 +335,21 @@ def test_scan_file_and_stdin_print_same_bytes(capsys, monkeypatch, tmp_path):
         assert from_file[0] == 0 and from_file[1].count("\n") == rows
 
 
+def test_scan_file_with_a_non_ascii_line_prints_an_na_row_and_goes_on(capsys, tmp_path):
+    # one bad line never aborts a scan: its bytes reach the graph6 parser, whose error
+    # names the first one, and the lines after it are scanned
+    corpus = tmp_path / "corpus.g6"
+    k7 = to_graph6(complete(7)).encode()
+    corpus.write_bytes(k7 + b"\n" + "é".encode() + k7 + b"\n" + k7 + b"\n")  # é is the bytes 195 169
+    code, out, err = run(capsys, "scan", "--file", str(corpus), "--theorem", "1.8", "--a", "1", "--b", "3")
+    assert code == 0
+    rows = [ln.split("\t") for ln in out.splitlines()[1:-1]]
+    assert rows[1] == ["2", "1.8"] + ["NA"] * 7
+    assert [r[0] for r in rows] == ["1", "2", "3"] and rows[2][1:] == rows[0][1:] and rows[2][3] == "true"
+    assert json.loads(out.splitlines()[-1])["errors"] == 1
+    assert err == "line 2: size byte 195 out of range 63..126 (byte offset 0)\n"
+
+
 def test_scan_max_n_past_the_mask_width_skips_the_oracle(capsys, monkeypatch):
     lines = [to_graph6(g) for g in (complete(7), cycle_graph(64), complete(8))]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
@@ -489,6 +507,32 @@ def test_dispatch_matches_the_full_parser(monkeypatch, argv):
 def test_a_named_command_is_parsed_by_its_own_parser_alone(argv):
     # the full parser sets ``command``; the command's own parser does not
     assert "command" not in vars(fracdel.cli._parse(argv))
+
+
+def test_the_bytes_pinned_by_ci(capsys, tmp_path):
+    # the workflow's pins, run in process: a change that moves any greedy pick, search or
+    # flip of a build, or any witness of these refutations, fails here as well as in CI
+    r = random.Random(20260816)
+    gnp32 = to_graph6(Graph(32, [e for e in combinations(range(32), 2) if r.random() < 0.5]))
+    path = tmp_path / "gnp32.g6"
+    path.write_text(gnp32 + "\n", encoding="ascii")
+    code, out, _ = run(capsys, "factor", "--file", str(path), "--a", "1", "--b", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a55dbcd4495b1ab932b963c330e5353090783b8b2058d2b6d2a7a472873f7b4c"
+    for (a, b), digest in (
+        ((1, 3), "7d84bdf747f2cdcdb322a80c580ce1ed728e172b70b8310e84a43c37a3c672c4"),
+        ((3, 3), "ece9af6997f088ed95a652f144ece923a0f5e323c3fdd5bc8d556c1ccc2adcba"),
+    ):
+        g = parse_graph6(gnp32)  # a fresh graph, with no build kept, as in its own process
+        lines = [json.dumps(find_fractional_factor(delete_edge(g, u, v), a, b).to_json()) for u, v in g.edges()]
+        assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == digest, (a, b)
+    for g6, b, witness in (
+        ("F~~{?", 3, '{"S": [], "T": [6], "theta": 0, "epsilon": 1, "rule": "deleted"}'),
+        ("F~zf?", 1, '{"S": [0, 1, 2], "T": [3, 4, 5, 6], "theta": -1, "epsilon": 0, "rule": "deleted"}'),
+    ):
+        want = f'{{"n": 7, "a": 1, "b": {b}, "verdict": false, "witness": {witness}}}\n'
+        assert run(capsys, "check", "--graph6", g6, "--a", "1", "--b", str(b)) == (1, want, "")
 
 
 def test_file_input(capsys, tmp_path):

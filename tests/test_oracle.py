@@ -322,7 +322,7 @@ def test_reported_witness_is_first_in_size_lex_order():
 # first 2^15 subset masks. Some also fail at a numerically smaller mask that
 # comes later in (size, lex) order: {5, 6} and {4, 7} in another mask chunk,
 # {1, 2} in the same one. Expected witnesses were computed by enumerating S as
-# sorted tuples in (size, lex) order. Both tables end with the complete split graphs
+# sorted tuples in (size, lex) order. Both tables hold the complete split graphs
 # K_s ∨ (s+1)K_1, s = 3..7, where |S| = s = (n - 1)/2: the first violating S
 # is the hub, which leaves s + 1 isolated vertices.
 SPLIT = [
@@ -336,7 +336,12 @@ ORDERING_DELETED = [
     ("Q^b^p{GAF}^HA?nrYonUQVrMA}?", 1, 1, {"S": [4, 17], "T": [8, 9, 12], "theta": -1, "epsilon": 0}),
     ("Q[F??NqwGKIe@_[lA?FdIIGWO?G", 1, 1, {"S": [3, 16], "T": [4, 14, 17], "theta": -1, "epsilon": 0}),
     ("SJtvw@s?@|^dlhpHVtaicnjjubW??_y_[", 1, 1, {"S": [15, 19], "T": [7, 9, 18], "theta": -1, "epsilon": 0}),
-] + SPLIT
+] + SPLIT + [
+    # several violators of the least size, the lex-first not the numerically largest: Dhs has
+    # three, and the largest is (2, 4); Dbg has five, and the largest is (3, 4)
+    ("Dhs", 1, 1, {"S": [1, 3], "T": [0, 2, 4], "theta": 1, "epsilon": 2}),
+    ("Dbg", 1, 1, {"S": [0, 2], "T": [1, 3, 4], "theta": 1, "epsilon": 2}),
+]
 ORDERING_FACTOR = [
     ("MDo[Hx_tR?K?`?`??", 1, 1, {"S": [0, 5], "T": [6, 12, 13], "theta": -1, "epsilon": 0}),
     ("PNJ\\^UwXw?J{}c??R{tVUn|G", 1, 1, {"S": [15], "T": [10, 13], "theta": -1, "epsilon": 0}),
@@ -386,10 +391,20 @@ def test_deleted_raises_when_the_subset_scan_finds_no_violation(monkeypatch):
 
 def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
     # F1 lives on the same double cover as F0, so a failed build is a bug, never a verdict
-    double_cover_factor = oracle._double_cover_factor
-    monkeypatch.setattr(
-        oracle, "_double_cover_factor", lambda adj, gv, fv, avoid=None: None if avoid else double_cover_factor(adj, gv, fv)
-    )
+    steered = []  # the greedy starts taken off F0's support
+    greedy_start, double_cover_factor = oracle._greedy_start, oracle._double_cover_factor
+
+    def recording(adj, gv, fv, avoid=None):
+        start = greedy_start(adj, gv, fv, avoid)
+        if avoid:
+            steered.append(start)
+        return start
+
+    def failing(adj, gv, fv, start, stepped=None):
+        return None if any(start is s for s in steered) else double_cover_factor(adj, gv, fv, start, stepped)
+
+    monkeypatch.setattr(oracle, "_greedy_start", recording)
+    monkeypatch.setattr(oracle, "_double_cover_factor", failing)
     with pytest.raises(RuntimeError, match="build of F1 found none"):
         is_fractional_ab_deleted(complete(8), 2, 3)
 
@@ -398,14 +413,14 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
     # a true verdict rests on one [a, b]-factor of the double cover per G - e: F0 for
     # the edges outside its support, F1 for those outside F1's, a repaired copy of F0
     # or of F1 for each edge both use
-    states = {}  # (adjacency list, pair of side lists) ids -> (adjacency, out, into) as first raised
-    raise_to_g = oracle._raise_to_g
+    states = []  # (adjacency, out, into) of every raise, which works on out and into in place
+    double_cover_factor = oracle._double_cover_factor
 
-    def recording(adj, gv, fv, own, other, roots, stepped=None):
-        states.setdefault((id(adj), frozenset((id(own), id(other)))), (adj, own, other))
-        return raise_to_g(adj, gv, fv, own, other, roots, stepped)
+    def recording(adj, gv, fv, start, stepped=None):
+        states.append((adj, start[0], start[1]))
+        return double_cover_factor(adj, gv, fv, start, stepped)
 
-    monkeypatch.setattr(oracle, "_raise_to_g", recording)
+    monkeypatch.setattr(oracle, "_double_cover_factor", recording)
     rng = random.Random(5504)
     repairs = 0
     for n, p, a, b in [
@@ -417,7 +432,7 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
         assert is_fractional_ab_deleted(g, a, b) == (True, None), (g, a, b)
         full = [g.adjacency_mask(v) for v in range(n)]
         factors, repaired = [], set()
-        for adj, out, into in states.values():
+        for adj, out, into in states:
             removed = {(u, v) for u in range(n) for v in range(n) if (full[u] ^ adj[u]) >> v & 1}
             assert all(adj[x] & ~full[x] == 0 for x in range(n))
             assert len(removed) in (0, 2) and {(v, u) for u, v in removed} == removed  # G or G - e
@@ -500,14 +515,23 @@ def test_deleted_agrees_with_per_edge_certificates_where_the_factors_overlap(mon
     # at a = b the second factor cannot always avoid the first one's support, so
     # repairs run; each verdict must match a certificate search on every G - e
     builds = []  # per double-cover build: (whether it was F1, whether it found a factor, whether it met supp(F0))
-    double_cover_factor = oracle._double_cover_factor
+    greedy = {}  # id of each greedy start -> (that start, its avoid masks); a raise from any other start is a repair
+    greedy_start, double_cover_factor = oracle._greedy_start, oracle._double_cover_factor
 
-    def recording(adj, gv, fv, avoid=None, start=None, stepped=None):
-        found = double_cover_factor(adj, gv, fv, avoid, start, stepped)
-        meets = avoid is not None and found is not None and any(a & (o | i) for a, o, i in zip(avoid, *found))
-        builds.append((avoid is not None, found is not None, meets))
+    def steered(adj, gv, fv, avoid=None):
+        start = greedy_start(adj, gv, fv, avoid)
+        greedy[id(start)] = start, avoid
+        return start
+
+    def recording(adj, gv, fv, start, stepped=None):
+        found = double_cover_factor(adj, gv, fv, start, stepped)
+        if id(start) in greedy:
+            avoid = greedy[id(start)][1]
+            meets = avoid is not None and found is not None and any(a & (o | i) for a, o, i in zip(avoid, *found))
+            builds.append((avoid is not None, found is not None, meets))
         return found
 
+    monkeypatch.setattr(oracle, "_greedy_start", steered)
     monkeypatch.setattr(oracle, "_double_cover_factor", recording)
     rng = random.Random(5507)
     cases = []
@@ -837,7 +861,7 @@ def test_double_cover_factor_matches_the_build_that_visits_every_root(monkeypatc
                         want = reference_double_cover_factor(adj, gv, fv, avoid)
                         want_searches = searches.copy()
                         searches.clear()
-                        got = oracle._double_cover_factor(adj, gv, fv, avoid)
+                        got = oracle._double_cover_factor(adj, gv, fv, _greedy_start(adj, gv, fv, avoid))
                         assert got == want and searches == want_searches, (g, a, b, avoid)
                         cases += 1
                         searched += bool(searches)

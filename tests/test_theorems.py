@@ -63,6 +63,26 @@ def test_report_near_complete():
     assert r.hypothesis_met and r.oracle_verdict is True and r.consistent
 
 
+def test_theorem_18_on_the_dense_7_vertex_graphs_at_its_bound():
+    # 1.8 asks delta >= a + 1 and 2e >= (n-1)(n-2) + a + 2. At n = 7 and even a the bound
+    # is reached exactly, by e = 17 at a = 2 and e = 18 at a = 4, so a bound one higher
+    # fails every one of these graphs; at odd a, 2e is even and the bound odd, and no graph
+    # tells the two apart. The graphs with delta = a on the bound must fail it
+    dense = [g for g in graphs_with_min_edges(7, 17) if g.edge_count <= 18]
+    rng = random.Random(1808)
+    checked = {True: 0, False: 0}
+    for a, b, e, above, at_a in ((2, 3, 17, 5880, 105), (4, 4, 18, 105, 1085)):
+        on_bound = [g for g in dense if g.edge_count == e and g.min_degree() >= a]
+        met = [g for g in on_bound if g.min_degree() >= a + 1]
+        unmet = [g for g in on_bound if g.min_degree() == a]
+        assert (len(met), len(unmet)) == (above, at_a)
+        for g in rng.sample(met, min(len(met), 300)) + rng.sample(unmet, min(len(unmet), 100)):
+            want = g.min_degree() >= a + 1 and 2 * g.edge_count >= 6 * 5 + a + 2
+            assert eval_theorem(g, "1.8", a, b).hypothesis_met is want, (to_graph6(g), a, b)
+            checked[want] += 1
+    assert checked == {True: 405, False: 200}
+
+
 def test_hypothesis_values_keys():
     common = ["e", "delta", "connected", "rho", "q"]
     r = eval_theorem(complete(7), "1.4", 1, 3)
