@@ -69,15 +69,18 @@ def _tsv_cell(value) -> str:
 def _input_lines(args) -> Iterator[Iterable[str]]:
     """The graph input as lines: --graph6, else --file (opened here, read lazily), else stdin.
 
-    The file is read as latin-1, which maps each byte to the character of the same value,
-    so a non-ASCII byte reaches the graph6 parser, and its error names that byte."""
+    The file, and stdin's byte stream where it has one, are read as latin-1, which maps
+    each byte to the character of the same value, so a non-ASCII byte reaches the graph6
+    parser, and its error names that byte, whatever the locale. A stdin without a byte
+    stream (an in-memory one) is read as the text it holds."""
     if getattr(args, "graph6", None) is not None:
         yield [args.graph6]
     elif getattr(args, "file", None):
         with open(args.file, encoding="latin-1") as fh:
             yield fh
     else:
-        yield sys.stdin
+        raw = getattr(sys.stdin, "buffer", None)
+        yield sys.stdin if raw is None else (line.decode("latin-1") for line in raw)
 
 
 def _read_one_line(args) -> str:

@@ -46,11 +46,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .graph import Graph, _bits, _disjoint_masks, _vertex_mask
+
+if TYPE_CHECKING:  # numpy is imported where it computes, so importing this module does not load it
+    import numpy as np
 
 __all__ = [
     "SUBSET_GUARD",
@@ -234,6 +235,7 @@ _MASK_BITS = 63  # chunk starts must fit in a uint64 below 2^63
 
 def _subset_sums(masks: np.ndarray, vals: Sequence[int]) -> np.ndarray:
     """sum(vals[v] for v in S) for every mask S, one popcount per distinct value."""
+    import numpy as np
     total = np.zeros(len(masks), dtype=np.int64)
     for w in set(vals) - {0}:
         of_w = np.uint64(sum(1 << v for v, x in enumerate(vals) if x == w))
@@ -243,6 +245,7 @@ def _subset_sums(masks: np.ndarray, vals: Sequence[int]) -> np.ndarray:
 
 def _chunk_violations(adj, full, s, below, f, g, with_epsilon) -> np.ndarray:
     """The masks in s whose (S, T) pair violates the criterion."""
+    import numpy as np
     not_s = ~s & full
     t = np.zeros(len(s), dtype=np.uint64)
     d_t = np.zeros(len(s), dtype=np.uint16)  # at most 63 vertices of remaining degree <= 62
@@ -269,6 +272,7 @@ def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, rule: str):
     epsilon is 0 unless with_epsilon. The witness is ``_witness`` at that S; one
     that passes there is a kernel bug.
     """
+    import numpy as np
     n = graph.n
     adj = [np.uint64(graph.adjacency_mask(v)) for v in range(n)]
     full = np.uint64(graph.full_mask())

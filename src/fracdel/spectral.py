@@ -18,10 +18,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph import Graph, _graph6_size, is_connected
+
+if TYPE_CHECKING:  # numpy is imported where it computes, so importing this module does not load it
+    import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
@@ -78,6 +80,7 @@ def _check_graph6_guard(line: str) -> None:
 def _adjacency_stack(g: Graph, k: int) -> np.ndarray:
     """k copies of the adjacency matrix in one (k, n, n) array; ValueError above MATRIX_GUARD, before any allocation."""
     _check_matrix_guard(g.n)
+    import numpy as np
     m = np.zeros((k, g.n, g.n))
     u, v = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
     m[:, u, v] = m[:, v, u] = 1.0
@@ -91,6 +94,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     """D + A where D is the diagonal degree matrix."""
+    import numpy as np
     q = adjacency_matrix(g)
     q[np.diag_indices(g.n)] = g.degrees()
     return q
@@ -98,6 +102,7 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
 
 def _off_norms(a: np.ndarray, scratch: np.ndarray) -> list[float]:
     """The off-diagonal Frobenius norm of each matrix of the stack a, worked out in scratch (same shape)."""
+    import numpy as np
     np.copyto(scratch, a)
     scratch.reshape(len(a), -1)[:, :: a.shape[-1] + 1] = 0.0
     return [float(np.linalg.norm(x)) for x in scratch]
@@ -111,6 +116,7 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     exactly one of the m - 1 rounds. For odd n, column 0 (the pairs with the
     phantom vertex m - 1 = n) is dropped.
     """
+    import numpy as np
     m = n + (n & 1)
     r, i = np.arange(m - 1)[:, None], np.arange(m // 2)
     p, q = (r + i) % (m - 1), (r - i) % (m - 1)
@@ -126,6 +132,7 @@ def _schedule(n: int) -> list[np.ndarray]:
     their (p, p), (q, q), (p, q) and (q, p) entries. Adding n * n * j indexes
     matrix j of a flattened stack.
     """
+    import numpy as np
     return [np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))[:, None] for p, q in zip(*_round_robin(n))]
 
 
@@ -142,6 +149,7 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
     ConvergenceError. A matrix still in the stack after max_sweeps sweeps
     raises ConvergenceError with the largest off-diagonal norm left.
     """
+    import numpy as np
     k, n, _ = m.shape
     rounds, offsets = _schedule(n), n * n * np.arange(k)[:, None]  # built before the n x n buffers: a lower peak
     a = m + m.transpose(0, 2, 1)
@@ -211,6 +219,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
         return g._spectra
     if g.n < 1:
         raise ValueError("spectral_summary requires n >= 1")
+    import numpy as np
     stack = _adjacency_stack(g, 2)  # A, and Q = D + A below
     stack[1][np.diag_indices(g.n)] = g.degrees()
     (rho, ra), (q, rq) = _jacobi(stack, DEFAULT_TOL, MAX_SWEEPS)

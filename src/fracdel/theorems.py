@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import ClassVar, Iterable, Iterator
 
-import numpy as np
-
 from .graph import Graph, Graph6Error, _vertex_count, complete, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
 from .spectral import ConvergenceError, _check_graph6_guard, spectral_summary
@@ -89,6 +87,7 @@ def extremal_spectra(n: int, a: int) -> tuple[float, float]:
     quotients are symmetrised with the square roots of the cell sizes, so
     their top eigenvalues come from one symmetric solve of the two.
     """
+    import numpy as np
     c, s = math.sqrt(a * (n - a - 1)), math.sqrt(a)
     adj = np.array([[a - 1, c, s], [c, n - a - 2, 0], [s, 0, 0]])
     signless = adj + np.diag([n - 1.0, n - 2.0, a])  # add the cell degrees

@@ -350,6 +350,88 @@ def test_scan_file_with_a_non_ascii_line_prints_an_na_row_and_goes_on(capsys, tm
     assert err == "line 2: size byte 195 out of range 63..126 (byte offset 0)\n"
 
 
+@pytest.mark.parametrize(
+    "env", [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}], ids=["strict-utf-8", "c-locale"]
+)
+def test_stdin_with_a_non_utf8_byte_is_an_na_row_naming_the_byte(env):
+    # stdin's bytes are read as latin-1, as --file's are: byte 255 reaches the graph6 parser as
+    # itself, whatever the locale or PYTHONIOENCODING, and the scan goes on after its line
+    base = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LANG")}
+    env = {**base, **env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    k7 = to_graph6(complete(7)).encode()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracdel", "scan", "--theorem", "1.8", "--a", "1", "--b", "3"],
+        input=k7 + b"\n\xff" + k7 + b"\n" + k7 + b"\n", capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln.split("\t") for ln in proc.stdout.decode().splitlines()[1:-1]]
+    assert [r[0] for r in rows] == ["1", "2", "3"] and rows[1] == ["2", "1.8"] + ["NA"] * 7
+    assert json.loads(proc.stdout.decode().splitlines()[-1])["errors"] == 1
+    assert proc.stderr.decode() == "line 2: size byte 255 out of range 63..126 (byte offset 0)\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracdel", "check", "--a", "1", "--b", "3"],
+        input=b"\xff" + k7 + b"\n", capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == "error: size byte 255 out of range 63..126 (byte offset 0)\n"
+
+
+# numpy computes only spectra and the 2^n kernel's chunks, so these commands must not load it
+NUMPY_FREE = [
+    ["--help"],
+    ["check", "--graph6", "F~~~w", "--a", "1", "--b", "3"],  # deleted, by the double cover
+    ["check", "--graph6", "F~~{?", "--a", "1", "--b", "3"],  # refuted at S = {} by delta <= a
+    ["factor", "--graph6", "F~~~w", "--a", "1", "--b", "3"],
+    ["construct", "--family", "extremal", "--n", "7", "--a", "1"],
+]
+NUMPY_USERS = [
+    ["spectral", "--graph6", "F~~~w"],
+    ["check", "--graph6", "F~zf?", "--a", "1", "--b", "1"],  # the refutation's witness comes from the 2^n kernel
+]
+_PROBE = (
+    "import sys\n"
+    "from fracdel.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print('numpy' in sys.modules, code, file=sys.stderr)\n"
+)
+
+
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_importing_the_package_does_not_load_numpy():
+    proc = _fresh("import sys, fracdel; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, loads", [pytest.param(a, a in NUMPY_USERS, id=" ".join(a)) for a in NUMPY_FREE + NUMPY_USERS]
+)
+def test_numpy_loads_only_for_a_spectrum_or_the_subset_kernel(capsys, argv, loads):
+    proc = _fresh(_PROBE, *argv)
+    loaded, code = proc.stderr.splitlines()[-1].split()
+    assert loaded == str(loads)
+    if argv != ["--help"]:  # and prints what it prints in process
+        assert (int(code), proc.stdout) == run(capsys, *argv)[:2]
+
+
+def test_the_package_exports_each_modules_all_once():
+    # in a fresh interpreter, where no test has imported fracdel.cli: the four modules' names
+    # and the modules themselves, and nothing else
+    proc = _fresh("import json, fracdel; print(json.dumps([k for k in vars(fracdel) if not k.startswith('__')]))")
+    from fracdel import graph, oracle, spectral, theorems
+
+    listed = [name for mod in (graph, oracle, spectral, theorems) for name in mod.__all__]
+    assert len(listed) == len(set(listed)) == 49
+    assert sorted(json.loads(proc.stdout)) == sorted(listed + ["graph", "oracle", "spectral", "theorems"])
+    assert fracdel.__version__ == "0.1.0"
+
+
 def test_scan_max_n_past_the_mask_width_skips_the_oracle(capsys, monkeypatch):
     lines = [to_graph6(g) for g in (complete(7), cycle_graph(64), complete(8))]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))

@@ -21,6 +21,7 @@ from fracdel import (
     extremal,
     extremal_spectra,
     graphs_with_min_edges,
+    is_fractional_ab_deleted,
     scan,
     spectral_summary,
     parse_graph6,
@@ -81,6 +82,41 @@ def test_theorem_18_on_the_dense_7_vertex_graphs_at_its_bound():
             assert eval_theorem(g, "1.8", a, b).hypothesis_met is want, (to_graph6(g), a, b)
             checked[want] += 1
     assert checked == {True: 405, False: 200}
+
+
+def test_the_16_edge_layer_at_n_7_holds_only_the_extremal_copies_refuted():
+    # extremal(7, 1) has 16 edges, one fewer than the dense-7 corpus of acceptance criterion 3,
+    # so this layer is checked on its own: its only graphs that are not [1, 3]-deleted are
+    # the 42 labelled copies of extremal(7, 1), which tie rho* and q* and meet no hypothesis
+    layer = [g for g in graphs_with_min_edges(7, 16) if g.edge_count == 16]
+    assert len(layer) == 20349  # C(21, 5) removed pairs
+    ext = extremal(7, 1)
+    copies = {to_graph6(Graph(7, [(p[u], p[v]) for u, v in ext.edges()])) for p in itertools.permutations(range(7))}
+    assert len(copies) == 42  # 7 choices of the degree-1 vertex times 6 of its neighbour
+    refuted = {}
+    for g in layer:
+        verdict, witness = is_fractional_ab_deleted(g, 1, 3)
+        if not verdict:
+            refuted[to_graph6(g)] = g, witness
+    assert set(refuted) == copies
+    for g, w in refuted.values():
+        low = [v for v in range(7) if g.degree(v) == 1]
+        assert (w.s, w.t, w.theta, w.epsilon) == ((), tuple(low), 0, 1)
+    # reference spectra from LAPACK, all 20 349 graphs in one batched solve
+    rows = np.array([[g.adjacency_mask(v) for v in range(7)] for g in layer])
+    adj = ((rows[:, :, None] >> np.arange(7)) & 1).astype(float)
+    signless = adj + np.eye(7) * adj.sum(axis=2)[:, :, None]
+    rho, q = np.linalg.eigvalsh(adj)[:, -1], np.linalg.eigvalsh(signless)[:, -1]
+    rho_star, q_star = extremal_spectra(7, 1)
+    for values, star in ((rho, rho_star), (q, q_star)):
+        assert {to_graph6(layer[i]) for i in np.flatnonzero(np.abs(values - star) <= 1e-9)} == copies
+    assert not np.any(rho - rho_star > 1e-9)  # 1.4 is met nowhere
+    assert not np.any((q - (2 * 7 - 4 + 2 / 6) > 1e-9) & (q - q_star > 1e-9))  # nor 1.6
+    assert all(2 * g.edge_count < 6 * 5 + 1 + 2 for g in layer)  # 1.8's size bound fails the whole layer
+    for g, _ in refuted.values():
+        for tid in ("1.4", "1.6", "1.8"):
+            r = eval_theorem(g, tid, 1, 3)
+            assert not r.hypothesis_met and r.oracle_verdict is False and r.consistent, (to_graph6(g), tid)
 
 
 def test_hypothesis_values_keys():
