@@ -72,12 +72,15 @@ def _input_lines(args) -> Iterator[Iterable[str]]:
     The file, and stdin's byte stream where it has one, are read as latin-1, which maps
     each byte to the character of the same value, so a non-ASCII byte reaches the graph6
     parser, and its error names that byte, whatever the locale. A stdin without a byte
-    stream (an in-memory one) is read as the text it holds."""
+    stream (an in-memory one) is read as the text it holds. A closed stdin, which Python
+    sets to None, is read as empty, as /dev/null is."""
     if getattr(args, "graph6", None) is not None:
         yield [args.graph6]
     elif getattr(args, "file", None):
         with open(args.file, encoding="latin-1") as fh:
             yield fh
+    elif sys.stdin is None:
+        yield ()
     else:
         raw = getattr(sys.stdin, "buffer", None)
         yield sys.stdin if raw is None else (line.decode("latin-1") for line in raw)

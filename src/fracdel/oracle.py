@@ -24,14 +24,19 @@ and, on each side, the vertices that may be below g, which alone root searches.
 
 ``is_fractional_ab_deleted`` uses both. A vertex of degree <= a refutes G
 at S = {} before anything is built. Otherwise a true verdict comes from the
-double cover in polynomial time. One factor F0 of G is built; an edge
-outside its support leaves F0 a factor of G - e. A second factor F1 is built
-with its greedy start steered off F0's support, and covers the edges outside
-its own support the same way. Each edge that both F0 and F1 use is dropped
-from a fresh copy of whichever of them holds fewer of its two arcs, which
-is raised again from the edge's two ends; every repair succeeds exactly
-when G is deleted. Only a refutation past that runs the 2^n scan, to report
-the first violating S in (size, lex) order, and the scan must find one.
+double cover in polynomial time. When a < b, one [a + 1, b]-factor is sought
+first: deleting an edge uv drops its arcs u -> v' and v -> u', which lowers
+each of u, v, u' and v' by at most one, so that one factor keeps every G - e
+in [a, b]. A failed slack build proves only that G has no [a + 1, b]-factor,
+never a refutation. Without one, and always at a = b, one [a, b]-factor F0
+of G is built; an edge outside its support leaves F0 a factor of G - e. A
+second factor F1 is built with its greedy start steered off F0's support,
+and covers the edges outside its own support the same way. Each edge that
+both F0 and F1 use is dropped from a fresh copy of whichever of them holds
+fewer of its two arcs, which is raised again from the edge's two ends;
+every repair succeeds exactly when G is deleted. Only a refutation past
+that runs the 2^n scan, to report the first violating S in (size, lex)
+order, and the scan must find one.
 
 The test suite compares these against the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
@@ -384,12 +389,14 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     degree is <= a, S = {} violates it (T is nonempty and theta(S, T) is
     <= 0, or < 0 when every T-vertex is isolated) and is reported before
     the size guard and before any factor is built, at any n. Otherwise a
-    true verdict is decided in polynomial time on the double cover: an
-    [a, b]-factor F0, then a second one F1 built off F0's support; an edge
-    outside either support needs nothing more, and each edge in both is
-    dropped from a copy of F0 or F1 that is then repaired. A refutation
-    found there needs the 2^n scan for its witness. The size guard applies
-    to both of these verdicts, and to an edgeless graph.
+    true verdict is decided in polynomial time on the double cover. When
+    a < b, one [a + 1, b]-factor certifies every G - e at once. Without
+    one, which refutes nothing, and always at a = b: an [a, b]-factor F0,
+    then a second one F1 built off F0's support; an edge outside either
+    support needs nothing more, and each edge in both is dropped from a
+    copy of F0 or F1 that is then repaired. A refutation, from F0's failed
+    build or a failed repair, needs the 2^n scan for its witness. The size
+    guard applies to both of these verdicts, and to an edgeless graph.
     """
     a, b = _validate_ab(a, b)
     _require_vertices(graph)
@@ -570,6 +577,12 @@ def _double_cover_factor(adj, gv, fv, start, stepped=None) -> tuple[list[int], l
 def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     """Whether G - e has a fractional [a, b]-factor for every edge e, on a graph with an edge.
 
+    When a < b, an [a + 1, b]-factor of the double cover is raised first. If
+    there is one, every G - e has a factor: dropping uv's two arcs leaves each
+    degree at a or above and still at most b. If there is none, that says
+    nothing about G - e, and the route below decides, as it always does at
+    a = b.
+
     One [a, b]-factor F0 of the double cover is built; if there is none, no
     G - e has one either. An edge uv outside F0's support (neither u -> v'
     nor v -> u' in F0) leaves F0 a factor of G - uv. A second factor F1 of
@@ -584,8 +597,13 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     factor.
     """
     n = graph.n
-    gv, fv = (a,) * n, (b,) * n
     adj = list(graph._rows)
+    fv = (b,) * n
+    if a < b:
+        slack = (a + 1,) * n  # deleting uv drops at most one arc at each of u, v, u' and v'
+        if _double_cover_factor(adj, slack, fv, _greedy_start(adj, slack, fv)) is not None:
+            return True
+    gv = (a,) * n
     found = _double_cover_factor(adj, gv, fv, _greedy_start(adj, gv, fv))
     if found is None:
         return False

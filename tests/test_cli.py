@@ -514,6 +514,15 @@ def test_empty_stdin_exits_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_closed_stdin_reads_as_empty(capsys, monkeypatch):
+    # with fd 0 closed Python sets sys.stdin to None: check finds no graph, scan none to scan
+    monkeypatch.setattr("sys.stdin", None)
+    assert run(capsys, "check", "--a", "1", "--b", "3") == (2, "", "error: no input graph: expected one graph6 line\n")
+    header = "id\ttheorem\thypothesis_met\toracle\tconsistent\trho\tq\te\tdelta\n"
+    summary = '{"graphs": 0, "hypothesis_met": 0, "oracle_true": 0, "counterexamples": 0, "errors": 0, "oracle_skipped": 0}\n'
+    assert run(capsys, "scan", "--theorem", "1.8", "--a", "1", "--b", "3") == (0, header + summary, "")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as ei:
         main(["theorem", "--theorem", "9.9", "--a", "1", "--b", "3"])
@@ -591,7 +600,7 @@ def test_a_named_command_is_parsed_by_its_own_parser_alone(argv):
     assert "command" not in vars(fracdel.cli._parse(argv))
 
 
-def test_the_bytes_pinned_by_ci(capsys, tmp_path):
+def test_the_bytes_pinned_by_ci(capsys, monkeypatch, tmp_path):
     # the workflow's pins, run in process: a change that moves any greedy pick, search or
     # flip of a build, or any witness of these refutations, fails here as well as in CI
     r = random.Random(20260816)
@@ -615,6 +624,13 @@ def test_the_bytes_pinned_by_ci(capsys, tmp_path):
     ):
         want = f'{{"n": 7, "a": 1, "b": {b}, "verdict": false, "witness": {witness}}}\n'
         assert run(capsys, "check", "--graph6", g6, "--a", "1", "--b", str(b)) == (1, want, "")
+    # a refutation that passes the degree test at a < b, and a deleted graph with no [a + 1, b]-factor
+    want = '{"n": 7, "a": 1, "b": 2, "verdict": false, "witness": {"S": [0, 6], "T": [1, 2, 3, 4, 5], "theta": 1, "epsilon": 2, "rule": "deleted"}}\n'
+    assert run(capsys, "check", "--graph6", "FQaFw", "--a", "1", "--b", "2") == (1, want, "")
+    want = '{"n": 6, "a": 1, "b": 2, "verdict": true, "witness": null}\n'
+    assert run(capsys, "check", "--graph6", "EXjw", "--a", "1", "--b", "2") == (0, want, "")
+    monkeypatch.setattr("sys.stdin", None)  # a closed stdin
+    assert run(capsys, "check", "--a", "1", "--b", "3") == (2, "", "error: no input graph: expected one graph6 line\n")
 
 
 def test_file_input(capsys, tmp_path):

@@ -390,7 +390,8 @@ def test_deleted_raises_when_the_subset_scan_finds_no_violation(monkeypatch):
 
 
 def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
-    # F1 lives on the same double cover as F0, so a failed build is a bug, never a verdict
+    # F1 lives on the same double cover as F0, so a failed build is a bug, never a verdict.
+    # F1 is built at a = b, and at a < b when G has no [a + 1, b]-factor, as EXjw has none at (1, 2)
     steered = []  # the greedy starts taken off F0's support
     greedy_start, double_cover_factor = oracle._greedy_start, oracle._double_cover_factor
 
@@ -405,35 +406,56 @@ def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
 
     monkeypatch.setattr(oracle, "_greedy_start", recording)
     monkeypatch.setattr(oracle, "_double_cover_factor", failing)
-    with pytest.raises(RuntimeError, match="build of F1 found none"):
-        is_fractional_ab_deleted(complete(8), 2, 3)
+    for g, a, b in [(complete(8), 3, 3), (parse_graph6("EXjw"), 1, 2)]:
+        with pytest.raises(RuntimeError, match="build of F1 found none"):
+            is_fractional_ab_deleted(g, a, b)
+
+
+# deleted graphs at a < b with no [a + 1, b]-factor, so F0, F1 and repairs decide them
+NO_SLACK = [("EXjw", 1, 2), ("HqcPcIS", 1, 3), ("Fl{Ww", 2, 4), ("Fj~VG", 3, 4), ("HpYvpKT", 2, 3), ("HnpJHVT", 3, 5)]
 
 
 def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
-    # a true verdict rests on one [a, b]-factor of the double cover per G - e: F0 for
-    # the edges outside its support, F1 for those outside F1's, a repaired copy of F0
-    # or of F1 for each edge both use
-    states = []  # (adjacency, out, into) of every raise, which works on out and into in place
+    # a true verdict rests on one double-cover factor per G - e. At a < b that is first one
+    # [a + 1, b]-factor for every edge, and nothing else is raised; where there is none, and
+    # at a = b, it is F0 for the edges outside its support, F1 for those outside F1's, and a
+    # repaired copy of F0 or of F1 for each edge both use
+    states = []  # (adjacency, g, out, into, found) of every raise, which works on out and into in place
     double_cover_factor = oracle._double_cover_factor
 
     def recording(adj, gv, fv, start, stepped=None):
-        states.append((adj, start[0], start[1]))
-        return double_cover_factor(adj, gv, fv, start, stepped)
+        found = double_cover_factor(adj, gv, fv, start, stepped)
+        states.append((adj, gv[0], start[0], start[1], found is not None))
+        return found
 
     monkeypatch.setattr(oracle, "_double_cover_factor", recording)
     rng = random.Random(5504)
-    repairs = 0
-    for n, p, a, b in [
-        (9, None, 1, 3), (12, None, 2, 5), (10, 0.8, 1, 3), (14, 0.85, 2, 4), (16, 0.9, 1, 4),
-        (16, 0.5, 3, 3), (18, 0.5, 3, 3), (20, 0.5, 4, 4), (18, 0.7, 5, 5),  # a = b: F1 meets F0 more
-    ]:
-        g = complete(n) if p is None else gnp(n, p, rng)
+    cases = [
+        (complete(n) if p is None else gnp(n, p, rng), a, b)
+        for n, p, a, b in [
+            (9, None, 1, 3), (12, None, 2, 5), (10, 0.8, 1, 3), (14, 0.85, 2, 4), (16, 0.9, 1, 4),
+            (16, 0.5, 3, 3), (18, 0.5, 3, 3), (20, 0.5, 4, 4), (18, 0.7, 5, 5),  # a = b: F1 meets F0 more
+        ]
+    ] + [(parse_graph6(g6), a, b) for g6, a, b in NO_SLACK]
+    repairs = slack = 0
+    for g, a, b in cases:
+        n = g.n
         states.clear()
         assert is_fractional_ab_deleted(g, a, b) == (True, None), (g, a, b)
         full = [g.adjacency_mask(v) for v in range(n)]
+        if a < b:
+            assert states[0][:2] == (full, a + 1)  # the slack build comes first, on G
+            if states[0][4]:
+                assert len(states) == 1  # the only raise
+                out, into = states[0][2:4]
+                assert all(a + 1 <= out[x].bit_count() <= b and a + 1 <= into[x].bit_count() <= b for x in range(n))
+                slack += 1
+                continue
+            del states[0]  # no [a + 1, b]-factor: F0, F1 and the repairs follow
         factors, repaired = [], set()
-        for adj, out, into in states:
+        for adj, low, out, into, found in states:
             removed = {(u, v) for u in range(n) for v in range(n) if (full[u] ^ adj[u]) >> v & 1}
+            assert found and low == a
             assert all(adj[x] & ~full[x] == 0 for x in range(n))
             assert len(removed) in (0, 2) and {(v, u) for u, v in removed} == removed  # G or G - e
             for x in range(n):
@@ -449,13 +471,67 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
         # edges in both supports are repaired
         both = {(u, v) for u, v in g.edges() if all(out[u] >> v & 1 or out[v] >> u & 1 for out in factors)}
         assert repaired == both, (g, a, b)
+        if a < b:
+            assert 1 <= len(both) <= 12, (g, a, b, len(both))
         repairs += len(repaired)
-    assert repairs > 20
+    assert slack == 5 and repairs > 20
+
+
+def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
+    # at a < b the decider first raises one [a + 1, b]-factor of the double cover; deleting uv
+    # drops the arcs u -> v' and v -> u', so every degree stays in [a, b] for every edge. A
+    # failed slack build is no refutation: the verdict then comes from F0, F1 and repairs
+    raises = []  # the factor, or None, of every raise
+    double_cover_factor = oracle._double_cover_factor
+
+    def recording(adj, gv, fv, start, stepped=None):
+        found = double_cover_factor(adj, gv, fv, start, stepped)
+        raises.append(found)
+        return found
+
+    monkeypatch.setattr(oracle, "_double_cover_factor", recording)
+    rng = random.Random(5510)
+    kinds = []
+    for _ in range(400):
+        g = gnp(rng.randint(4, 10), rng.choice([0.5, 0.7, 0.9]), rng)
+        a = rng.randint(1, 3)
+        b = a + rng.randint(1, 2)
+        if not g.edge_count or g.min_degree() <= a:
+            continue  # refuted at S = {} before any raise
+        raises.clear()
+        verdict = is_fractional_ab_deleted(g, a, b)[0]
+        decider = raises.copy()
+        assert verdict == all(find_fractional_factor(delete_edge(g, u, v), a, b) for u, v in g.edges()), (g, a, b)
+        found = decider[0]
+        if found is None:
+            kinds.append("no slack factor, " + ("deleted" if verdict else "refuted"))
+            continue
+        kinds.append("slack factor")
+        assert verdict and len(decider) == 1, (g, a, b)
+        for u, v in g.edges():
+            out = list(found[0])
+            out[u] &= ~(1 << v)
+            out[v] &= ~(1 << u)
+            into = [sum(o >> x & 1 for o in out) for x in range(g.n)]
+            assert all(a <= o.bit_count() <= b and a <= i <= b for o, i in zip(out, into)), (g, a, b, u, v)
+    # these draws: 221 slack factors and 5 deleted graphs without one; no refutation passes the degree test
+    assert kinds.count("slack factor") > 200 and kinds.count("no slack factor, deleted") >= 3, kinds
+    # such refutations are rare; these two have no [a + 1, b]-factor but an [a, b]-factor, so a
+    # slack build at a instead of a + 1 would call them deleted
+    for g6, a, b, expected in [
+        ("FQaFw", 1, 2, {"S": [0, 6], "T": [1, 2, 3, 4, 5], "theta": 1, "epsilon": 2}),
+        (r"Gm\NiS", 2, 3, {"S": [1, 4, 6], "T": [0, 2, 3, 5, 7], "theta": 1, "epsilon": 2}),
+    ]:
+        g = parse_graph6(g6)
+        assert g.min_degree() > a and find_fractional_factor(g, a, b) is not None
+        ok, w = is_fractional_ab_deleted(g, a, b)
+        assert not ok and w.to_json() == {**expected, "rule": "deleted"}
 
 
 def test_true_verdicts_take_few_alternating_searches(monkeypatch):
     # F1 is steered off F0's support, so on K_n only the few edges both factors use
-    # are repaired; a repair for every edge of F0 costs over 50 searches on each
+    # are repaired; a repair for every edge of F0 costs over 50 searches on each.
+    # K_17 at (2, 3) is certified by one [3, 3]-factor, in 3 searches
     calls = []
     alternating_path = oracle._alternating_path
 
