@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from .graph import Graph, Graph6Error, complete, extremal, is_connected, parse_graph6, to_graph6
+from .graph import Graph, Graph6Error, _check_graph6_max, complete, extremal, is_connected, parse_graph6, to_graph6
 from .oracle import SizeGuardError, find_fractional_factor, is_fractional_ab_deleted
 from .spectral import DEFAULT_TOL, ConvergenceError, _check_graph6_guard, feng_yu_bound, hsf_bound, spectral_summary
 from .theorems import (
@@ -115,12 +115,10 @@ def _add_graph_input(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_construct(args) -> int:
-    if args.family == "complete":
-        graph = complete(args.n)
-    else:
-        if args.a is None:
-            raise ValueError("--family extremal requires --a")
-        graph = extremal(args.n, args.a)
+    if args.family == "extremal" and args.a is None:
+        raise ValueError("--family extremal requires --a")
+    _check_graph6_max(args.n)  # refused before the graph's ~n^2/8 bytes of row masks are built
+    graph = complete(args.n) if args.family == "complete" else extremal(args.n, args.a)
     print(to_graph6(graph))
     return 0
 

@@ -408,6 +408,12 @@ def parse_graph6(line: str) -> Graph:
     return Graph._from_rows(n, tuple(rows))
 
 
+def _check_graph6_max(n: int) -> None:
+    """ValueError when n is past GRAPH6_MAX_N, the largest size graph6 can write."""
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"n={n} exceeds the supported graph6 maximum {GRAPH6_MAX_N}")
+
+
 def to_graph6(g: Graph) -> str:
     """Canonical graph6 encoding (no header, no trailing newline).
 
@@ -419,8 +425,7 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n < 1:
         raise ValueError("graph6 requires n >= 1")
-    if n > GRAPH6_MAX_N:
-        raise ValueError(f"n={n} exceeds the supported graph6 maximum {GRAPH6_MAX_N}")
+    _check_graph6_max(n)
     if n <= 62:
         head = chr(63 + n)
     else:

@@ -21,6 +21,8 @@ Two routes underlie everything here:
 Every double-cover factor, the certificate's and each one below, is raised by
 one routine, ``_double_cover_factor``, from an explicit start: the arc masks
 and, on each side, the vertices that may be below g, which alone root searches.
+Each search is one call of ``_augment``, which finds a shortest alternating
+path and flips it in place while it follows its parent links back to the root.
 
 ``is_fractional_ab_deleted`` uses both. A vertex of degree <= a refutes G
 at S = {} before anything is built. Otherwise a true verdict comes from the
@@ -290,9 +292,8 @@ def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, rule: str):
         bad = _chunk_violations(adj, full, s, below, f, g, with_epsilon)
         if len(bad):
             sizes = np.bitwise_count(bad)
-            # among one popcount, the lowest differing bit set: max of the bit-reversed masks
-            mask = max(bad[sizes == sizes.min()].tolist(), key=lambda m: f"{m:064b}"[::-1])
-            best = min(best, (mask.bit_count(), tuple(v for v in range(n) if mask >> v & 1)))
+            first = min(tuple(_bits(m)) for m in bad[sizes == sizes.min()].tolist())  # lex-first of the smallest
+            best = min(best, (len(first), first))
             if best[0] == 0:
                 break
     if best[0] > n:
@@ -433,8 +434,9 @@ def _subset_deleted(graph: Graph, a: int, b: int):
 # alternating search: it leaves a vertex of its own side by an edge not in F
 # and comes back by an edge in F, and it stops where the path can be flipped
 # without breaking a bound (an other-side vertex below f, or an own-side
-# vertex above g). Flipping raises the root by one and moves no other degree
-# of its side below g, so the first side stays raised while the second is.
+# vertex above g). ``_augment`` searches and flips in one pass. Flipping raises
+# the root by one and moves no other degree of its side below g, so the first
+# side stays raised while the second is.
 #
 # Only vertices below g are visited as roots. The greedy start reports them:
 # the left vertices it could not fill, and its final mask of right copies
@@ -486,24 +488,27 @@ def _greedy_start(
     return out, into, short, below
 
 
-def _alternating_path(adj, gv, fv, own, other, root: int, came_by_free: dict | None = None) -> list[int] | None:
-    """A shortest flippable path [root, y1, x1, y2, ...] from an own-side root, or None.
+def _augment(adj, gv, fv, own, other, root: int, stepped: list[int] | None = None) -> bool:
+    """Flip a shortest flippable path from an own-side root in F, in place; False, with F
+    unchanged, when there is none.
 
-    Steps x -> y use edges not in F, steps y -> x edges in F. The path ends at
-    an other-side y with deg < f(y) or at an own-side x with deg > g(x). None
-    means no such path exists: the own-side vertices reached, X, and the
-    other-side ones, Y, then have g(X) > f(Y) + e(X, outside Y), which no
-    factor can meet.
+    A breadth-first search steps x -> y by edges not in F and y -> x by edges
+    in F. The path ends at an other-side y with deg < f(y) or at an own-side
+    x with deg > g(x), which first gives up its arc to the y it was reached
+    from; following the parent links back to the root, each free step's arc
+    is then added and each F step's arc dropped. That raises the root by one
+    and moves no other own-side degree below g. False means no such path
+    exists: the own-side vertices reached, X, and the other-side ones, Y, then
+    have g(X) > f(Y) + e(X, outside Y), which no factor can meet.
 
-    ``came_by_free``, if given, is an empty dict that the search fills with
-    every free step it takes, as other-side y -> own-side x. adj is read only
-    in the offers adj[x] & ~own[x] & ~seen_other, and each offer's steps are
-    taken in increasing order. A bit of adj[x] that the search never stepped
-    along was in no offer, or lay above the step at which the search
-    returned, so the search takes the same steps with that bit cleared.
+    ``stepped``, if given, is a list of n masks: the search ORs each free step
+    x -> y it takes into stepped[x]. adj is read only in the offers
+    adj[x] & ~own[x] & ~seen_other, and each offer's steps are taken in
+    increasing order. A bit of adj[x] that the search never stepped along was
+    in no offer, or lay above the step at which the search ended, so the
+    search takes the same steps, and makes the same flip, with that bit cleared.
     """
-    if came_by_free is None:
-        came_by_free = {}  # other-side y -> the own-side x whose edge to y is not in F
+    came_by_free = {}  # other-side y -> the own-side x whose edge to y is not in F
     came_by_f = {}  # own-side x -> the other-side y whose edge to x is in F
     seen_own, seen_other = 1 << root, 0
     queue = [root]
@@ -515,62 +520,51 @@ def _alternating_path(adj, gv, fv, own, other, root: int, came_by_free: dict | N
             step ^= y_bit
             y = y_bit.bit_length() - 1
             came_by_free[y] = x
-            if other[y].bit_count() < fv[y]:
-                return _unwind([y], came_by_free, came_by_f, root)
-            back = other[y] & ~seen_own
-            seen_own |= back
-            while back:
-                x2_bit = back & -back
-                back ^= x2_bit
-                x2 = x2_bit.bit_length() - 1
-                came_by_f[x2] = y
-                if own[x2].bit_count() > gv[x2]:
-                    return _unwind([x2, y], came_by_free, came_by_f, root)
-                queue.append(x2)
-    return None
-
-
-def _unwind(tail: list[int], came_by_free: dict, came_by_f: dict, root: int) -> list[int]:
-    """The path from root to tail[0], following the search's parent links back from tail[-1]."""
-    path = tail
-    while True:
-        x = came_by_free[path[-1]]
-        path.append(x)
-        if x == root:
-            return path[::-1]
-        path.append(came_by_f[x])
-
-
-def _flip(path: list[int], own: list[int], other: list[int]) -> None:
-    """Toggle F along an alternating path that starts on the own side."""
-    for i in range(len(path) - 1):
-        x, y = (path[i], path[i + 1]) if i % 2 == 0 else (path[i + 1], path[i])
-        own[x] ^= 1 << y
-        other[y] ^= 1 << x
+            if stepped is not None:
+                stepped[x] |= y_bit
+            if other[y].bit_count() >= fv[y]:  # y is full: the path goes on by its arcs in F
+                back = other[y] & ~seen_own
+                seen_own |= back
+                while back:
+                    x2_bit = back & -back
+                    back ^= x2_bit
+                    x2 = x2_bit.bit_length() - 1
+                    if own[x2].bit_count() > gv[x2]:
+                        own[x2] ^= y_bit  # the path ends at x2, which gives up its arc to y
+                        other[y] ^= x2_bit
+                        break
+                    came_by_f[x2] = y
+                    queue.append(x2)
+                else:
+                    continue
+            while True:  # the path's last other-side vertex is y: flip it back to the root
+                x = came_by_free[y]
+                own[x] ^= 1 << y
+                other[y] ^= 1 << x
+                if x == root:
+                    return True
+                y = came_by_f[x]
+                own[x] ^= 1 << y
+                other[y] ^= 1 << x
+    return False
 
 
 def _double_cover_factor(adj, gv, fv, start, stepped=None) -> tuple[list[int], list[int]] | None:
     """Raise start = (out, into, short, below) in place to a (g, f)-factor of the double cover.
 
-    The left vertices in short are raised to g, in increasing order, by flipping
-    alternating paths, then the right copies in below the same way. Returns
+    The left vertices in short are raised to g, in increasing order, by
+    ``_augment``, then the right copies in below the same way. Returns
     (out, into), or None when a search fails, which proves there is no factor.
     Every other vertex, on either side, must already be at g or above, and
-    every degree at most f. ``stepped``, if given, gathers every search's free
-    steps, as own-side x -> mask of the y stepped to.
+    every degree at most f. ``stepped``, if given, is a list of n masks that
+    gathers every search's free steps, as stepped[x] = mask of the y stepped to.
     """
     out, into, short, below = start
     for own, other, roots in ((out, into, short), (into, out, below)):
         for root in _bits(roots):
             while own[root].bit_count() < gv[root]:
-                came = None if stepped is None else {}
-                path = _alternating_path(adj, gv, fv, own, other, root, came)
-                if came:
-                    for y, x in came.items():
-                        stepped[x] = stepped.get(x, 0) | 1 << y
-                if path is None:
+                if not _augment(adj, gv, fv, own, other, root, stepped):
                     return None
-                _flip(path, own, other)
     return out, into
 
 
@@ -640,7 +634,7 @@ def _fresh_build(graph: Graph, gv, fv, start=None) -> tuple:
         out, into, short, below = _greedy_start(graph._rows, gv, fv)
         start = tuple(out), tuple(into), short, below
     out, into, short, below = start
-    stepped = {}
+    stepped = [0] * graph.n
     found = _double_cover_factor(graph._rows, gv, fv, (list(out), list(into), short, below), stepped)
     graph._build = kept = (gv, fv), start, None if found is None else tuple(found[0]), stepped
     return kept
@@ -657,7 +651,7 @@ def _build_of(graph: Graph, gv, fv) -> tuple:
     greedy pick is the lowest bit of the first nonempty of four masks, and v
     (or u) is never that bit, so dropping it changes no pick, degree or
     deficit mask. When, besides, no search of P stepped along uv, every search
-    on P - uv takes P's steps (see ``_alternating_path``) and makes P's
+    on P - uv takes P's steps (see ``_augment``) and makes P's
     flip, so P - uv takes P's whole memo, factor (or None) and steps too, and
     builds nothing; a chain of deletions passes it on. Otherwise P - uv
     raises its own rows, from P's start where that is exact. So every G - e
@@ -676,7 +670,7 @@ def _build_of(graph: Graph, gv, fv) -> tuple:
     _, start, _, stepped = kept
     if start[0][u] >> v & 1 or start[0][v] >> u & 1:
         return _fresh_build(graph, gv, fv)
-    if stepped.get(u, 0) >> v & 1 or stepped.get(v, 0) >> u & 1:
+    if stepped[u] >> v & 1 or stepped[v] >> u & 1:
         return _fresh_build(graph, gv, fv, start)
     graph._build = kept
     return kept

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -232,7 +233,9 @@ def hsf_bound_at(e: int, n: int, x: float) -> float:
 
     Raises ValueError when the radicand is negative (the bound is undefined
     there; with x at most the minimum degree the radicand is always >= 0).
+    e and n are counts, so a float e or n raises TypeError; x stays real.
     """
+    e, n = operator.index(e), operator.index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     if not (0 <= e <= n * (n - 1) // 2):

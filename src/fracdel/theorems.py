@@ -25,7 +25,7 @@ from typing import ClassVar, Iterable, Iterator
 
 from .graph import Graph, Graph6Error, _vertex_count, complete, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
-from .spectral import ConvergenceError, _check_graph6_guard, spectral_summary
+from .spectral import ConvergenceError, _check_graph6_guard, _check_matrix_guard, spectral_summary
 
 __all__ = [
     "THEOREM_IDS",
@@ -226,11 +226,13 @@ def verify_sharpness(n: int, a: int, b: int) -> SharpnessReport:
     theta = 0, epsilon = 1), and that rho and q of the extremal graph's
     matrices equal the quotient closed forms of ``extremal_spectra`` within
     DEFAULT_MARGIN, so both spectral hypotheses fail at equality. Any failed
-    check raises SharpnessError.
+    check raises SharpnessError. An n past ``spectral.MATRIX_GUARD`` raises
+    ValueError before the extremal graph is built.
     """
     n, (a, b) = operator.index(n), _validate_ab(a, b)  # numpy's integers too; a float raises
     if not (b >= max(a, 3) and n >= max(a + 2, 7)):
         raise ValueError(f"sharpness replay needs b >= max(a,3) and n >= max(a+2,7), got n={n}, a={a}, b={b}")
+    _check_matrix_guard(n)  # the spectra would refuse gstar; refuse it before its row masks are built
     gstar = extremal(n, a)
 
     verdict, witness = is_fractional_ab_deleted(gstar, a, b)

@@ -215,8 +215,8 @@ def reference_double_cover_factor(adj, gv, fv, avoid=None) -> tuple[list[int], l
 
     The greedy start rebuilds its masks from the bounds and counts each right
     copy's degree with a popcount, and each side's raise visits every vertex
-    in increasing order, checking its degree by popcount. The searches and
-    flips go through the ``oracle`` module, so a test can record them.
+    in increasing order, checking its degree by popcount. Each search and
+    its flip goes through ``oracle._augment``, so a test can record them.
     """
     n = len(adj)
     out, into = [0] * n, [0] * n
@@ -243,10 +243,8 @@ def reference_double_cover_factor(adj, gv, fv, avoid=None) -> tuple[list[int], l
     for own, other in ((out, into), (into, out)):
         for root in range(n):
             while own[root].bit_count() < gv[root]:
-                path = oracle._alternating_path(adj, gv, fv, own, other, root)
-                if path is None:
+                if not oracle._augment(adj, gv, fv, own, other, root):
                     return None
-                oracle._flip(path, own, other)
     return out, into
 
 

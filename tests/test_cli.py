@@ -61,6 +61,21 @@ def test_construct_errors(capsys):
     assert code == 2 and "error" in err
 
 
+def test_construct_refuses_a_size_past_graph6_before_building_the_graph(capsys, monkeypatch):
+    # K_n's row masks take ~n^2/8 bytes, ~8 GiB at n = 258048: the encoder's limit is
+    # checked before either family is built, with the encoder's message
+    def unbuilt(*args):
+        raise AssertionError(f"a graph was built for {args}")
+
+    monkeypatch.setattr(fracdel.cli, "complete", unbuilt)
+    monkeypatch.setattr(fracdel.cli, "extremal", unbuilt)
+    want = "error: n=258048 exceeds the supported graph6 maximum 258047\n"
+    assert run(capsys, "construct", "--family", "complete", "--n", "258048") == (2, "", want)
+    assert run(capsys, "construct", "--family", "extremal", "--n", "258048", "--a", "1") == (2, "", want)
+    with pytest.raises(ValueError, match="exceeds the supported graph6 maximum 258047"):
+        to_graph6(Graph(258048))  # the same message from the encoder; an edgeless graph is cheap
+
+
 def test_spectral_json(capsys):
     code, out, _ = run(capsys, "spectral", "--graph6", "Bw")
     assert code == 0
@@ -213,6 +228,18 @@ def test_sharpness(capsys):
     assert data["passed"] is True and data["witness"]["T"] == [8]
     code, _, err = run(capsys, "sharpness", "--n", "6", "--a", "1", "--b", "3")
     assert code == 2
+
+
+def test_sharpness_refuses_a_size_past_the_matrix_guard_before_building_the_graph(capsys, monkeypatch):
+    # the spectra would refuse extremal(n, a) past spectral.MATRIX_GUARD, so it is never built
+    def unbuilt(*args):
+        raise AssertionError(f"a graph was built for {args}")
+
+    monkeypatch.setattr(fracdel.theorems, "extremal", unbuilt)
+    want = "error: n=300000 exceeds the 4096-vertex limit of the dense spectral matrices\n"
+    assert run(capsys, "sharpness", "--n", "300000", "--a", "1", "--b", "3") == (2, "", want)
+    with pytest.raises(ValueError, match="n=4097 exceeds the 4096-vertex limit"):
+        fracdel.theorems.verify_sharpness(4097, 2, 3)
 
 
 def test_rounded_zero_prints_without_a_sign(capsys):

@@ -32,7 +32,7 @@ from fracdel import (
 )
 from fracdel import oracle
 from fracdel.graph import _bits
-from fracdel.oracle import DeficiencyWitness, FractionalAssignment, _alternating_path, _greedy_start
+from fracdel.oracle import DeficiencyWitness, FractionalAssignment, _augment, _greedy_start
 from helpers import (
     cycle_graph,
     epsilon_by_loops,
@@ -533,13 +533,13 @@ def test_true_verdicts_take_few_alternating_searches(monkeypatch):
     # are repaired; a repair for every edge of F0 costs over 50 searches on each.
     # K_17 at (2, 3) is certified by one [3, 3]-factor, in 3 searches
     calls = []
-    alternating_path = oracle._alternating_path
+    augment = oracle._augment
 
     def counting(*args):
         calls.append(args[5])  # the root
-        return alternating_path(*args)
+        return augment(*args)
 
-    monkeypatch.setattr(oracle, "_alternating_path", counting)
+    monkeypatch.setattr(oracle, "_augment", counting)
     for n, a, b in [(18, 3, 3), (17, 2, 3)]:
         calls.clear()
         assert is_fractional_ab_deleted(complete(n), a, b) == (True, None)
@@ -814,7 +814,7 @@ def test_per_edge_certificates_are_those_of_a_build_from_scratch():
                         assert bounds_of_g == h._build[0] == oracle._bounds_vectors(g, a, b)
                         if start[0][u] >> v & 1 or start[0][v] >> u & 1:
                             kind = "picked"
-                        elif stepped.get(u, 0) >> v & 1 or stepped.get(v, 0) >> u & 1:
+                        elif stepped[u] >> v & 1 or stepped[v] >> u & 1:
                             kind = "stepped"
                         else:
                             kind = "replayed"
@@ -868,13 +868,13 @@ def test_g_minus_e_replays_the_searches_of_g_unless_one_stepped_along_the_edge(m
     # 75 raise from G's start because one of G's six searches stepped along their edge.
     # Raising every G - e took 504 and 1 498 searches
     calls = []
-    alternating_path = oracle._alternating_path
+    augment = oracle._augment
 
     def counted(*args):
         calls.append(args[5])  # the root
-        return alternating_path(*args)
+        return augment(*args)
 
-    monkeypatch.setattr(oracle, "_alternating_path", counted)
+    monkeypatch.setattr(oracle, "_augment", counted)
     r = random.Random(20260816)
     g = Graph(32, [e for e in combinations(range(32), 2) if r.random() < 0.5])
     for (a, b), searches, replayed, stepped in (((1, 3), 36, 234, 0), ((3, 3), 712, 131, 75)):
@@ -899,7 +899,10 @@ def test_flow_certificate_repairs_a_greedy_deficit_with_a_long_path():
     assert set(_bits(short)) == {1, 3} and set(_bits(below)) == {1, 3}
     assert all((out[u].bit_count() < 1) == (short >> u & 1) for u in range(4))
     assert all((into[v].bit_count() < 1) == (below >> v & 1) for v in range(4))
-    assert _alternating_path(adj, [1] * 4, [1] * 4, out, into, 1) == [1, 2, 0, 3]  # 3 edges: 1-2' 2'-0 0-3'
+    # the path 1-2' 2'-0 0-3' is flipped: 1 takes 2', 0 gives up 2' and takes 3'
+    assert (out, into) == ([1 << 2, 0, 1 << 0, 0], [1 << 2, 0, 1 << 0, 0])
+    assert _augment(adj, [1] * 4, [1] * 4, out, into, 1) is True
+    assert (out, into) == ([1 << 3, 1 << 2, 1 << 0, 0], [1 << 2, 0, 1 << 1, 1 << 0])
     fa = find_fractional_factor(g, 1, 1)
     assert fa is not None and fa.satisfies(g, 1, 1)
     assert fa.halves == {(0, 2): 0, (0, 3): 2, (1, 2): 2}
@@ -910,14 +913,15 @@ def test_double_cover_factor_matches_the_build_that_visits_every_root(monkeypatc
     # search, on the same state and in the same order, and every factor stay as they
     # were when each side's raise visited all n vertices
     searches = []
-    alternating_path = oracle._alternating_path
+    augment = oracle._augment
 
-    def recording(adj, gv, fv, own, other, root, came_by_free=None):
-        path = alternating_path(adj, gv, fv, own, other, root, came_by_free)
-        searches.append((root, tuple(own), tuple(other), path))
-        return path
+    def recording(adj, gv, fv, own, other, root, stepped=None):
+        before = tuple(own), tuple(other)
+        found = augment(adj, gv, fv, own, other, root, stepped)
+        searches.append((root, before, tuple(own), tuple(other), found))  # the state each search met, and its flip
+        return found
 
-    monkeypatch.setattr(oracle, "_alternating_path", recording)
+    monkeypatch.setattr(oracle, "_augment", recording)
     rng = random.Random(5513)
     cases = searched = refuted = with_avoid = 0
     for n in (7, 12, 16, 18, 32):
@@ -972,7 +976,9 @@ def test_flow_certificate_hall_exit():
     out, into, short, below = _greedy_start(adj, [1] * 4, [1] * 4)
     assert (out[2], out[3]) == (0, 0)
     assert set(_bits(short)) == {2, 3} and set(_bits(below)) == {2, 3}  # right 0' took left 1, 1' took left 0
-    assert _alternating_path(adj, [1] * 4, [1] * 4, out, into, 2) is None
+    state = out.copy(), into.copy()
+    assert _augment(adj, [1] * 4, [1] * 4, out, into, 2) is False
+    assert (out, into) == state  # a failed search flips nothing
     x, y = {1, 2}, {0}
     assert len(x) > len(y) + sum(1 for u in x for v in g.neighbors(u) if v not in y)
     assert find_fractional_factor(g, 1, 1) is None

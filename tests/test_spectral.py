@@ -273,6 +273,14 @@ def test_hsf_bound_at_validation():
     assert hsf_bound_at(0, 1, 0.0) == 0.0
 
 
+def test_hsf_bound_at_takes_integer_counts():
+    # e and n are counts: a float raises instead of being used as a real; x stays real
+    for e, n in ((3.5, 4), (3.0, 4), (3, 4.0)):
+        with pytest.raises(TypeError):
+            hsf_bound_at(e, n, 1.0)
+    assert hsf_bound_at(np.int64(3), np.int64(4), 1.0) == hsf_bound_at(3, 4, 1) == hsf_bound_at(3, 4, 1.0)
+
+
 def test_feng_yu_bound():
     assert abs(feng_yu_bound(path_graph(3)) - 3.0) <= 1e-12
     for n in (2, 5, 9):
