@@ -12,8 +12,7 @@ equivalent survives, when one marked equivalent is killed, or when a row's old
 text no longer occurs exactly once in its file. A change to a decision site adds
 its mutants here.
 
-    python tests/mutants.py             # every row, about 2.5 min on one core
-    python tests/mutants.py NAME ...    # only the named rows
+    python tests/mutants.py    # every row, about 2 min on one core
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 
 
 class Mutant(NamedTuple):
@@ -138,15 +137,11 @@ def _tier1(tree: Path) -> tuple[bool, float]:
     return done.returncode == 0, time.perf_counter() - t0
 
 
-def main(argv: list[str]) -> int:
-    rows = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"mutants: no row named {', '.join(sorted(unknown))}")
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="fracdel-mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy(base)
-        for mutant in rows:  # every row's text must be there before any time is spent
+        for mutant in MUTANTS:  # every row's text must be there before any time is spent
             text = (base / mutant.path).read_text(encoding="utf-8")
             if text.count(mutant.old) != 1:
                 raise SystemExit(f"mutants: {mutant.name}: its old text does not occur once in {mutant.path}")
@@ -155,7 +150,7 @@ def main(argv: list[str]) -> int:
         if not passed:
             return 1
         bad = []
-        for mutant in rows:
+        for mutant in MUTANTS:
             tree = Path(tmp) / mutant.name
             shutil.copytree(base, tree)
             path = tree / mutant.path
@@ -172,9 +167,9 @@ def main(argv: list[str]) -> int:
     if bad:
         print(f"mutants: {len(bad)} unexpected: {', '.join(bad)}", file=sys.stderr)
         return 1
-    print(f"mutants: all {len(rows)} as expected")
+    print(f"mutants: all {len(MUTANTS)} as expected")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
