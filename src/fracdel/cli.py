@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator
@@ -33,6 +34,9 @@ from .theorems import (
 __all__ = ["main"]
 
 _TSV_COLUMNS = ("id", "theorem", "hypothesis_met", "oracle", "consistent", "rho", "q", "e", "delta")
+
+CONSTRUCT_BUDGET_GIB = 1  # the memory construct may spend; encoding either family peaks at ~1.21 n^2 bytes
+CONSTRUCT_MAX_N = math.isqrt(CONSTRUCT_BUDGET_GIB * 2**32 // 5)  # 29308: the largest n with 1.25 n^2 bytes in budget
 
 
 def _round(x: float) -> float:
@@ -118,6 +122,11 @@ def _cmd_construct(args) -> int:
     if args.family == "extremal" and args.a is None:
         raise ValueError("--family extremal requires --a")
     _check_graph6_max(args.n)  # refused before the graph's ~n^2/8 bytes of row masks are built
+    if args.n > CONSTRUCT_MAX_N:
+        raise ValueError(
+            f"n={args.n} exceeds {CONSTRUCT_MAX_N}, the largest n construct encodes"
+            f" within its {CONSTRUCT_BUDGET_GIB} GiB memory budget"
+        )
     graph = complete(args.n) if args.family == "complete" else extremal(args.n, args.a)
     print(to_graph6(graph))
     return 0

@@ -24,21 +24,25 @@ and, on each side, the vertices that may be below g, which alone root searches.
 Each search is one call of ``_augment``, which finds a shortest alternating
 path and flips it in place while it follows its parent links back to the root.
 
-``is_fractional_ab_deleted`` uses both. A vertex of degree <= a refutes G
-at S = {} before anything is built. Otherwise a true verdict comes from the
-double cover in polynomial time. When a < b, one [a + 1, b]-factor is sought
-first: deleting an edge uv drops its arcs u -> v' and v -> u', which lowers
-each of u, v, u' and v' by at most one, so that one factor keeps every G - e
-in [a, b]. A failed slack build proves only that G has no [a + 1, b]-factor,
-never a refutation. Without one, and always at a = b, one [a, b]-factor F0
-of G is built; an edge outside its support leaves F0 a factor of G - e. A
-second factor F1 is built with its greedy start steered off F0's support,
-and covers the edges outside its own support the same way. Each edge that
-both F0 and F1 use is dropped from a fresh copy of whichever of them holds
-fewer of its two arcs, which is raised again from the edge's two ends;
-every repair succeeds exactly when G is deleted. Only a refutation past
-that runs the 2^n scan, to report the first violating S in (size, lex)
-order, and the scan must find one.
+``is_fractional_ab_deleted`` uses both, in this order: the degree test,
+the size guard, a closed form, the slack factor, then F0, F1 and repairs. A
+vertex of degree <= a refutes G at S = {} before anything is built. Past the
+guard, b(delta - 1) >= a * Delta decides G with no search: delta > a by then,
+so the weight min(1, b / Delta) on every edge of any G - e puts each vertex
+sum between a and b. It never holds at a = b. Otherwise a true verdict comes
+from the double cover in polynomial time. When a < b, one [a + 1,
+b]-factor is sought first: deleting an edge uv drops its arcs u -> v' and
+v -> u', which lowers each of u, v, u' and v' by at most one, so that one
+factor keeps every G - e in [a, b]. A failed slack build proves only that G
+has no [a + 1, b]-factor, never a refutation. Without one, and always at
+a = b, one [a, b]-factor F0 of G is built; an edge outside its support
+leaves F0 a factor of G - e. A second factor F1 is built with its greedy
+start steered off F0's support, and covers the edges outside its own
+support the same way. Each edge that both F0 and F1 use is dropped from a
+fresh copy of whichever of them holds fewer of its two arcs, which is
+raised again from the edge's two ends; every repair succeeds exactly when
+G is deleted. Only a refutation past that runs the 2^n scan, to report the
+first violating S in (size, lex) order, and the scan must find one.
 
 The test suite compares these against the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
@@ -389,10 +393,13 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     d_{G-S}(v) <= a}, theta(S, T) must reach epsilon(S, T). When the minimum
     degree is <= a, S = {} violates it (T is nonempty and theta(S, T) is
     <= 0, or < 0 when every T-vertex is isolated) and is reported before
-    the size guard and before any factor is built, at any n. Otherwise a
-    true verdict is decided in polynomial time on the double cover. When
-    a < b, one [a + 1, b]-factor certifies every G - e at once. Without
-    one, which refutes nothing, and always at a = b: an [a, b]-factor F0,
+    the size guard and before any factor is built, at any n. Past the guard,
+    b(delta - 1) >= a * Delta decides a true verdict with nothing built:
+    the weight min(1, b / Delta) on every edge of G - e gives each vertex a
+    sum between a and b, since delta > a. It never holds at a = b.
+    Otherwise a true verdict is decided in polynomial time on the double
+    cover. When a < b, one [a + 1, b]-factor certifies every G - e at once.
+    Without one, which refutes nothing, and always at a = b: an [a, b]-factor F0,
     then a second one F1 built off F0's support; an edge outside either
     support needs nothing more, and each edge in both is dropped from a
     copy of F0 or F1 that is then repaired. A refutation, from F0's failed
@@ -401,14 +408,18 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     """
     a, b = _validate_ab(a, b)
     _require_vertices(graph)
-    if graph.edge_count and graph.min_degree() <= a:
+    degrees = graph.degrees()
+    low, high = min(degrees), max(degrees)
+    if graph.edge_count and low <= a:
         at_empty = deficiency_witness(graph, (), a, b)
         if at_empty.satisfied:
-            raise RuntimeError(f"minimum degree {graph.min_degree()} <= a = {a}, but S = {{}} satisfies the criterion")
+            raise RuntimeError(f"minimum degree {low} <= a = {a}, but S = {{}} satisfies the criterion")
         return False, at_empty
     _check_subset_guard(graph.n, max_n)
     if graph.edge_count == 0:
         return True, None
+    if b * (low - 1) >= a * high:
+        return True, None  # weight min(1, b / high) on every edge puts each G - e in [a, b]
     if _deleted_by_repair(graph, a, b):
         return True, None
     verdict, witness = _subset_deleted(graph, a, b)
@@ -571,8 +582,10 @@ def _double_cover_factor(adj, gv, fv, start, stepped=None) -> tuple[list[int], l
 def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     """Whether G - e has a fractional [a, b]-factor for every edge e, on a graph with an edge.
 
-    When a < b, an [a + 1, b]-factor of the double cover is raised first. If
-    there is one, every G - e has a factor: dropping uv's two arcs leaves each
+    ``is_fractional_ab_deleted`` calls this only on the graphs that its
+    degree test, size guard and closed form leave undecided. When a < b, an
+    [a + 1, b]-factor of the double cover is raised first. If there is one,
+    every G - e has a factor: dropping uv's two arcs leaves each
     degree at a or above and still at most b. If there is none, that says
     nothing about G - e, and the route below decides, as it always does at
     a = b.

@@ -12,7 +12,7 @@ equivalent survives, when one marked equivalent is killed, or when a row's old
 text no longer occurs exactly once in its file. A change to a decision site adds
 its mutants here.
 
-    python tests/mutants.py    # every row, about 2 min on one core
+    python tests/mutants.py    # every row, about 3 min on one core
 """
 
 from __future__ import annotations
@@ -69,6 +69,20 @@ MUTANTS = (
         "src/fracdel/oracle.py",
         "                y = came_by_f[x]\n                own[x] ^= 1 << y\n                other[y] ^= 1 << x\n",
         "                y = came_by_f[x]\n",
+    ),
+    Mutant(
+        "closed-form-delta",
+        "oracle.is_fractional_ab_deleted: the closed form b(delta - 1) >= a * Delta counts degrees in G - e",
+        "src/fracdel/oracle.py",
+        "if b * (low - 1) >= a * high:",
+        "if b * low >= a * high:",
+    ),
+    Mutant(
+        "closed-form-strict",
+        "oracle.is_fractional_ab_deleted: the closed form holds at b(delta - 1) = a * Delta",
+        "src/fracdel/oracle.py",
+        "if b * (low - 1) >= a * high:",
+        "if b * (low - 1) > a * high:",
     ),
     Mutant(
         "subset-tie-lex-last",

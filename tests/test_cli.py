@@ -76,6 +76,34 @@ def test_construct_refuses_a_size_past_graph6_before_building_the_graph(capsys, 
         to_graph6(Graph(258048))  # the same message from the encoder; an edgeless graph is cheap
 
 
+def test_construct_refuses_a_size_past_its_memory_budget_before_building_the_graph(capsys, monkeypatch):
+    # encoding K_n peaks at ~1.21 n^2 bytes, ~75 GiB at n = 258047, a size graph6 can write:
+    # construct refuses any n whose 1.25 n^2 bytes exceed its budget, before either family is built
+    n = fracdel.cli.CONSTRUCT_MAX_N
+    assert 1.25 * n * n <= fracdel.cli.CONSTRUCT_BUDGET_GIB * 2**30 < 1.25 * (n + 1) ** 2
+    tracemalloc.start()
+    try:
+        to_graph6(complete(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2000**2, peak
+    built = []
+
+    def unbuilt(*args):
+        built.append(args)
+        return complete(3)
+
+    monkeypatch.setattr(fracdel.cli, "complete", unbuilt)
+    monkeypatch.setattr(fracdel.cli, "extremal", unbuilt)
+    for family, size in (("complete", 258047), ("extremal", n + 1)):
+        want = f"error: n={size} exceeds {n}, the largest n construct encodes within its 1 GiB memory budget\n"
+        assert run(capsys, "construct", "--family", family, "--n", str(size), "--a", "1") == (2, "", want)
+    assert built == []
+    assert run(capsys, "construct", "--family", "complete", "--n", str(n)) == (0, "Bw\n", "")
+    assert built == [(n,)]
+
+
 def test_spectral_json(capsys):
     code, out, _ = run(capsys, "spectral", "--graph6", "Bw")
     assert code == 0
@@ -136,7 +164,7 @@ def test_check_guard_exit(capsys):
 
 
 def test_check_past_the_guard_answers_true_without_the_subset_scan(capsys):
-    # a 2^40 scan is out of reach; the double-cover repair decides K_40 directly
+    # a 2^40 scan is out of reach; the closed form b(delta - 1) >= a * Delta decides K_40 directly
     start = time.perf_counter()
     code, out, _ = run(capsys, "check", "--graph6", to_graph6(complete(40)), "--a", "1", "--b", "3", "--max-n", "40")
     assert time.perf_counter() - start < 1.0
@@ -656,6 +684,11 @@ def test_the_bytes_pinned_by_ci(capsys, monkeypatch, tmp_path):
     assert run(capsys, "check", "--graph6", "FQaFw", "--a", "1", "--b", "2") == (1, want, "")
     want = '{"n": 6, "a": 1, "b": 2, "verdict": true, "witness": null}\n'
     assert run(capsys, "check", "--graph6", "EXjw", "--a", "1", "--b", "2") == (0, want, "")
+    # K_3 at (1, 2), on the closed form's boundary, and C_5 at (1, 1), one short of it
+    want = '{"n": 3, "a": 1, "b": 2, "verdict": true, "witness": null}\n'
+    assert run(capsys, "check", "--graph6", "Bw", "--a", "1", "--b", "2") == (0, want, "")
+    want = '{"n": 5, "a": 1, "b": 1, "verdict": false, "witness": {"S": [0, 2], "T": [1, 3, 4], "theta": 1, "epsilon": 2, "rule": "deleted"}}\n'
+    assert run(capsys, "check", "--graph6", "Dhc", "--a", "1", "--b", "1") == (1, want, "")
     monkeypatch.setattr("sys.stdin", None)  # a closed stdin
     assert run(capsys, "check", "--a", "1", "--b", "3") == (2, "", "error: no input graph: expected one graph6 line\n")
 

@@ -415,9 +415,16 @@ def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
 NO_SLACK = [("EXjw", 1, 2), ("HqcPcIS", 1, 3), ("Fl{Ww", 2, 4), ("Fj~VG", 3, 4), ("HpYvpKT", 2, 3), ("HnpJHVT", 3, 5)]
 
 
+def closed_form_holds(g, a, b):
+    # b(delta - 1) >= a * Delta: weight min(1, b / Delta) on every edge puts each G - e in [a, b]
+    degrees = g.degrees()
+    return b * (min(degrees) - 1) >= a * max(degrees)
+
+
 def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
-    # a true verdict rests on one double-cover factor per G - e. At a < b that is first one
-    # [a + 1, b]-factor for every edge, and nothing else is raised; where there is none, and
+    # a true verdict rests on one double-cover factor per G - e, unless the closed form
+    # b(delta - 1) >= a * Delta decides it and nothing is raised. Otherwise at a < b it is first
+    # one [a + 1, b]-factor for every edge, and nothing else is raised; where there is none, and
     # at a = b, it is F0 for the edges outside its support, F1 for those outside F1's, and a
     # repaired copy of F0 or of F1 for each edge both use
     states = []  # (adjacency, g, out, into, found) of every raise, which works on out and into in place
@@ -435,13 +442,18 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
         for n, p, a, b in [
             (9, None, 1, 3), (12, None, 2, 5), (10, 0.8, 1, 3), (14, 0.85, 2, 4), (16, 0.9, 1, 4),
             (16, 0.5, 3, 3), (18, 0.5, 3, 3), (20, 0.5, 4, 4), (18, 0.7, 5, 5),  # a = b: F1 meets F0 more
+            (12, 0.6, 1, 2), (16, 0.5, 1, 3), (14, 0.7, 2, 3), (20, 0.5, 2, 4),  # a < b, past the closed form
         ]
-    ] + [(parse_graph6(g6), a, b) for g6, a, b in NO_SLACK]
-    repairs = slack = 0
+    ] + [(parse_graph6(g6), a, b) for g6, a, b in NO_SLACK] + [(complete(3), 1, 2)]  # K_3: b(delta - 1) = a * Delta
+    repairs = slack = closed = 0
     for g, a, b in cases:
         n = g.n
         states.clear()
         assert is_fractional_ab_deleted(g, a, b) == (True, None), (g, a, b)
+        if closed_form_holds(g, a, b):
+            assert states == [], (g, a, b)  # decided with nothing raised
+            closed += 1
+            continue
         full = [g.adjacency_mask(v) for v in range(n)]
         if a < b:
             assert states[0][:2] == (full, a + 1)  # the slack build comes first, on G
@@ -474,13 +486,14 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
         if a < b:
             assert 1 <= len(both) <= 12, (g, a, b, len(both))
         repairs += len(repaired)
-    assert slack == 5 and repairs > 20
+    assert closed == 5 and slack == 5 and repairs > 20
 
 
 def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
-    # at a < b the decider first raises one [a + 1, b]-factor of the double cover; deleting uv
-    # drops the arcs u -> v' and v -> u', so every degree stays in [a, b] for every edge. A
-    # failed slack build is no refutation: the verdict then comes from F0, F1 and repairs
+    # at a < b, past the closed form, the decider first raises one [a + 1, b]-factor of the
+    # double cover; deleting uv drops the arcs u -> v' and v -> u', so every degree stays in
+    # [a, b] for every edge. A failed slack build is no refutation: the verdict then comes from
+    # F0, F1 and repairs
     raises = []  # the factor, or None, of every raise
     double_cover_factor = oracle._double_cover_factor
 
@@ -492,8 +505,8 @@ def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
     monkeypatch.setattr(oracle, "_double_cover_factor", recording)
     rng = random.Random(5510)
     kinds = []
-    for _ in range(400):
-        g = gnp(rng.randint(4, 10), rng.choice([0.5, 0.7, 0.9]), rng)
+    for _ in range(450):
+        g = gnp(rng.randint(6, 14), rng.choice([0.5, 0.6, 0.7]), rng)
         a = rng.randint(1, 3)
         b = a + rng.randint(1, 2)
         if not g.edge_count or g.min_degree() <= a:
@@ -502,6 +515,10 @@ def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
         verdict = is_fractional_ab_deleted(g, a, b)[0]
         decider = raises.copy()
         assert verdict == all(find_fractional_factor(delete_edge(g, u, v), a, b) for u, v in g.edges()), (g, a, b)
+        if closed_form_holds(g, a, b):
+            assert verdict and decider == [], (g, a, b)  # decided with nothing raised
+            kinds.append("closed form")
+            continue
         found = decider[0]
         if found is None:
             kinds.append("no slack factor, " + ("deleted" if verdict else "refuted"))
@@ -514,8 +531,10 @@ def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
             out[v] &= ~(1 << u)
             into = [sum(o >> x & 1 for o in out) for x in range(g.n)]
             assert all(a <= o.bit_count() <= b and a <= i <= b for o, i in zip(out, into)), (g, a, b, u, v)
-    # these draws: 221 slack factors and 5 deleted graphs without one; no refutation passes the degree test
+    # these draws: 212 slack factors, 63 closed-form verdicts and 4 deleted graphs without a slack
+    # factor; no refutation passes the degree test
     assert kinds.count("slack factor") > 200 and kinds.count("no slack factor, deleted") >= 3, kinds
+    assert kinds.count("closed form") > 50, kinds
     # such refutations are rare; these two have no [a + 1, b]-factor but an [a, b]-factor, so a
     # slack build at a instead of a + 1 would call them deleted
     for g6, a, b, expected in [
@@ -528,10 +547,54 @@ def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
         assert not ok and w.to_json() == {**expected, "rule": "deleted"}
 
 
+def test_closed_form_decides_near_regular_graphs_with_nothing_raised(monkeypatch):
+    # past the degree test delta > a, so where b(delta - 1) >= a * Delta the weight
+    # c = min(1, b / Delta) on every edge of any G - e gives each vertex a sum in
+    # [c(delta - 1), c * Delta], inside [a, b]: G is deleted, with nothing raised or scanned.
+    # At a = b it never holds, since it would need delta - 1 >= Delta
+    def nothing(*args):
+        raise AssertionError("a factor was raised or a subset scanned")
+
+    def decided_in_closed_form(g, a, b):
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "_double_cover_factor", nothing)
+            patched.setattr(oracle, "_subset_decide", nothing)
+            return is_fractional_ab_deleted(g, a, b)
+
+    rng = random.Random(5512)
+    fired = 0
+    for _ in range(300):
+        g = gnp(rng.randint(3, 12), rng.choice([0.6, 0.8, 0.95]), rng)
+        a = rng.randint(1, 3)
+        b = a + rng.randint(0, 3)
+        if not g.edge_count or g.min_degree() <= a or not closed_form_holds(g, a, b):
+            continue
+        fired += 1
+        assert a < b
+        c = min(Fraction(1), Fraction(b, max(g.degrees())))
+        for u, v in g.edges():
+            g_e = delete_edge(g, u, v)
+            assert all(a <= c * d <= b for d in g_e.degrees()), (g, a, b, u, v)
+            assert find_fractional_factor(g_e, a, b) is not None, (g, a, b, u, v)
+        assert decided_in_closed_form(g, a, b) == (True, None), (g, a, b)
+    assert fired > 80, fired  # these draws: 92, and 51 at a = b pass the degree test
+    # the boundary: K_3 at (1, 2) has b(delta - 1) = a * Delta, and each G - e is a path in [1, 2]
+    k3 = complete(3)
+    assert all(find_fractional_factor(delete_edge(k3, u, v), 1, 2) for u, v in k3.edges())
+    assert decided_in_closed_form(k3, 1, 2) == (True, None)
+    # the near miss: C_5 at (1, 1) has b(delta - 1) = a * Delta - 1, and each C_5 - e is P_5,
+    # which has no fractional perfect matching
+    c5 = cycle_graph(5)
+    assert not closed_form_holds(c5, 1, 1)
+    assert not any(find_fractional_factor(delete_edge(c5, u, v), 1, 1) for u, v in c5.edges())
+    ok, w = is_fractional_ab_deleted(c5, 1, 1)
+    assert not ok and w.to_json() == {"S": [0, 2], "T": [1, 3, 4], "theta": 1, "epsilon": 2, "rule": "deleted"}
+
+
 def test_true_verdicts_take_few_alternating_searches(monkeypatch):
     # F1 is steered off F0's support, so on K_n only the few edges both factors use
     # are repaired; a repair for every edge of F0 costs over 50 searches on each.
-    # K_17 at (2, 3) is certified by one [3, 3]-factor, in 3 searches
+    # K_17 at (2, 3) takes none: the closed form b(delta - 1) >= a * Delta decides it
     calls = []
     augment = oracle._augment
 
@@ -540,10 +603,10 @@ def test_true_verdicts_take_few_alternating_searches(monkeypatch):
         return augment(*args)
 
     monkeypatch.setattr(oracle, "_augment", counting)
-    for n, a, b in [(18, 3, 3), (17, 2, 3)]:
+    for n, a, b, most in [(18, 3, 3, 16), (17, 2, 3, 0)]:
         calls.clear()
         assert is_fractional_ab_deleted(complete(n), a, b) == (True, None)
-        assert len(calls) <= 16, (n, a, b, len(calls))
+        assert len(calls) <= most, (n, a, b, len(calls))
     # at a = b the supports overlap on random graphs and repairs dominate: each one
     # starts from the factor holding fewer of the edge's arcs, and a vertex of degree
     # <= a refutes before any factor is built. These twelve draws take 205 searches
