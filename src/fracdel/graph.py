@@ -73,7 +73,7 @@ class Graph:
         self._edge_count = sum(r.bit_count() for r in rows) // 2
         self._spectra = None  # spectral.spectral_summary of this object, once solved
         self._origin = None  # (weak reference to G, u, v) when made by delete_edge(G, u, v)
-        self._build = None  # ((g, f), start, out, stepped): the last oracle double-cover build of this object
+        self._build = None  # ((g, f), (out, into) or None): the last oracle double-cover factor of this object
 
     @classmethod
     def _from_rows(cls, n: int, rows: tuple[int, ...], edge_count: int | None = None) -> "Graph":
@@ -224,10 +224,9 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """G - uv. The edge must exist; u and v must be integers (numpy's too), not floats.
 
     The result remembers its parent G, by a weak reference, and the deleted
-    edge, so ``find_fractional_factor`` can reuse G's greedy start, or G's
-    whole factor when no step of G's build touched uv, while G is alive.
-    Neither is part of its value: equality and hashing see only n and the
-    edges.
+    edge, so ``find_fractional_factor`` can repair G's factor, while G is
+    alive, instead of building one from nothing. Neither is part of its
+    value: equality and hashing see only n and the edges.
     """
     u, v = operator.index(u), operator.index(v)  # as Graph() does; a numpy integer would leak into the rows
     if not (0 <= u < g.n and 0 <= v < g.n and g._rows[u] >> v & 1):

@@ -23,6 +23,10 @@ one routine, ``_double_cover_factor``, from an explicit start: the arc masks
 and, on each side, the vertices that may be below g, which alone root searches.
 Each search is one call of ``_augment``, which finds a shortest alternating
 path and flips it in place while it follows its parent links back to the root.
+One repair, ``_repaired``, turns a factor of G into one of G - uv: it drops
+the arcs u -> v' and v -> u' from a copy and raises it again from u and v.
+A G - uv made by ``delete_edge`` gets its certificate that way from its
+parent's factor, and the repairs below are the same call.
 
 ``is_fractional_ab_deleted`` uses both, in this order: the degree test,
 the size guard, a closed form, the slack factor, then F0, F1 and repairs. A
@@ -38,10 +42,9 @@ has no [a + 1, b]-factor, never a refutation. Without one, and always at
 a = b, one [a, b]-factor F0 of G is built; an edge outside its support
 leaves F0 a factor of G - e. A second factor F1 is built with its greedy
 start steered off F0's support, and covers the edges outside its own
-support the same way. Each edge that both F0 and F1 use is dropped from a
-fresh copy of whichever of them holds fewer of its two arcs, which is
-raised again from the edge's two ends; every repair succeeds exactly when
-G is deleted. Only a refutation past that runs the 2^n scan, to report the
+support the same way. Each edge that both F0 and F1 use is repaired out of
+whichever of them holds fewer of its two arcs; every repair succeeds exactly
+when G is deleted. Only a refutation past that runs the 2^n scan, to report the
 first violating S in (size, lex) order, and the scan must find one.
 
 The test suite compares these against the definition itself (the
@@ -499,7 +502,7 @@ def _greedy_start(
     return out, into, short, below
 
 
-def _augment(adj, gv, fv, own, other, root: int, stepped: list[int] | None = None) -> bool:
+def _augment(adj, gv, fv, own, other, root: int) -> bool:
     """Flip a shortest flippable path from an own-side root in F, in place; False, with F
     unchanged, when there is none.
 
@@ -511,13 +514,6 @@ def _augment(adj, gv, fv, own, other, root: int, stepped: list[int] | None = Non
     and moves no other own-side degree below g. False means no such path
     exists: the own-side vertices reached, X, and the other-side ones, Y, then
     have g(X) > f(Y) + e(X, outside Y), which no factor can meet.
-
-    ``stepped``, if given, is a list of n masks: the search ORs each free step
-    x -> y it takes into stepped[x]. adj is read only in the offers
-    adj[x] & ~own[x] & ~seen_other, and each offer's steps are taken in
-    increasing order. A bit of adj[x] that the search never stepped along was
-    in no offer, or lay above the step at which the search ended, so the
-    search takes the same steps, and makes the same flip, with that bit cleared.
     """
     came_by_free = {}  # other-side y -> the own-side x whose edge to y is not in F
     came_by_f = {}  # own-side x -> the other-side y whose edge to x is in F
@@ -531,8 +527,6 @@ def _augment(adj, gv, fv, own, other, root: int, stepped: list[int] | None = Non
             step ^= y_bit
             y = y_bit.bit_length() - 1
             came_by_free[y] = x
-            if stepped is not None:
-                stepped[x] |= y_bit
             if other[y].bit_count() >= fv[y]:  # y is full: the path goes on by its arcs in F
                 back = other[y] & ~seen_own
                 seen_own |= back
@@ -560,23 +554,39 @@ def _augment(adj, gv, fv, own, other, root: int, stepped: list[int] | None = Non
     return False
 
 
-def _double_cover_factor(adj, gv, fv, start, stepped=None) -> tuple[list[int], list[int]] | None:
+def _double_cover_factor(adj, gv, fv, start) -> tuple[list[int], list[int]] | None:
     """Raise start = (out, into, short, below) in place to a (g, f)-factor of the double cover.
 
     The left vertices in short are raised to g, in increasing order, by
     ``_augment``, then the right copies in below the same way. Returns
     (out, into), or None when a search fails, which proves there is no factor.
     Every other vertex, on either side, must already be at g or above, and
-    every degree at most f. ``stepped``, if given, is a list of n masks that
-    gathers every search's free steps, as stepped[x] = mask of the y stepped to.
+    every degree at most f.
     """
     out, into, short, below = start
     for own, other, roots in ((out, into, short), (into, out, below)):
         for root in _bits(roots):
             while own[root].bit_count() < gv[root]:
-                if not _augment(adj, gv, fv, own, other, root, stepped):
+                if not _augment(adj, gv, fv, own, other, root):
                     return None
     return out, into
+
+
+def _repaired(adj, gv, fv, out, into, u: int, v: int) -> tuple[list[int], list[int]] | None:
+    """A (g, f)-factor of the double cover of G - uv, from a copy of G's factor (out, into), or None.
+
+    adj holds the rows of G - uv. The copy loses the arcs u -> v' and v -> u',
+    which lowers u and v on the left and u' and v' on the right by at most
+    one each and keeps every degree <= f, and it is raised again from u and v
+    on the left side and then the right. Raising is exact from any such
+    start, so None means G - uv has no factor.
+    """
+    out, into = list(out), list(into)
+    for x, y in ((u, v), (v, u)):
+        out[x] &= ~(1 << y)
+        into[y] &= ~(1 << x)
+    ends = 1 << u | 1 << v  # the only vertices, on either side, that lost an arc
+    return _double_cover_factor(adj, gv, fv, (out, into, ends, ends))
 
 
 def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
@@ -596,12 +606,9 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     the same double cover is built with a greedy start that takes arcs off
     F0's support first, and covers in the same way every edge outside its
     own support; it exists because F0 does. Only the edges both supports
-    share are left: for each, a fresh copy of whichever of F0 and F1 holds
-    fewer of the edge's two arcs (F0 on a tie) loses them, which lowers two
-    degrees by one per arc dropped and keeps every degree <= b, and is
-    raised again from u and v on the left side and then the right. Raising
-    is exact from any such start, so a failed search means G - uv has no
-    factor.
+    share are left: for each, whichever of F0 and F1 holds fewer of the
+    edge's two arcs (F0 on a tie) is repaired by ``_repaired``, and a failed
+    repair means G - uv has no factor.
     """
     n = graph.n
     adj = list(graph._rows)
@@ -625,68 +632,46 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
         for v in _bits(both >> (u + 1) << (u + 1)):  # edges uv with v > u that F0 and F1 both use
             fewer_in_f1 = (out1[u] >> v & 1) + (out1[v] >> u & 1) < (out0[u] >> v & 1) + (out0[v] >> u & 1)
             out, into = (out1, into1) if fewer_in_f1 else (out0, into0)
-            adj_e, out, into = adj.copy(), out.copy(), into.copy()
-            for x, y in ((u, v), (v, u)):
-                adj_e[x] ^= 1 << y
-                out[x] &= ~(1 << y)
-                into[y] &= ~(1 << x)
-            ends = 1 << u | 1 << v  # the only vertices, on either side, that lost an arc
-            if _double_cover_factor(adj_e, gv, fv, (out, into, ends, ends)) is None:
+            adj_e = adj.copy()
+            adj_e[u] ^= 1 << v
+            adj_e[v] ^= 1 << u
+            if _repaired(adj_e, gv, fv, out, into, u, v) is None:
                 return False
     return True
 
 
-def _fresh_build(graph: Graph, gv, fv, start=None) -> tuple:
-    """Build graph's double-cover factor at (gv, fv) from start, or from its own greedy start,
-    and memoise it on graph as ((gv, fv), start, out, stepped).
+def _factor_of(graph: Graph, gv, fv) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """graph's double-cover factor (out, into) at (gv, fv), or None when it has none,
+    memoised on graph as ((gv, fv), factor).
 
-    ``out`` is the factor's left-side arc masks as a tuple, or None when there is
-    no factor; ``stepped`` holds the free steps of the build's searches.
+    A graph made by ``delete_edge(P, u, v)``, with P still alive, takes P's
+    factor, built and memoised on P first if P has none for these bounds, and
+    so on up a chain of live parents. If P's factor uses neither u -> v' nor
+    v -> u', it is a factor of P - uv as it stands; otherwise ``_repaired``
+    drops those arcs from a copy and raises it again. If P has no factor,
+    neither has P - uv: a factor of P - uv is one of P with no arc on uv. A
+    graph with no live parent raises its own greedy start.
     """
-    if start is None:
-        out, into, short, below = _greedy_start(graph._rows, gv, fv)
-        start = tuple(out), tuple(into), short, below
-    out, into, short, below = start
-    stepped = [0] * graph.n
-    found = _double_cover_factor(graph._rows, gv, fv, (list(out), list(into), short, below), stepped)
-    graph._build = kept = (gv, fv), start, None if found is None else tuple(found[0]), stepped
-    return kept
+    chain = []
+    while graph._build is None or graph._build[0] != (gv, fv):
+        parent = graph._origin[0]() if graph._origin else None
+        if parent is None:
+            found = _double_cover_factor(graph._rows, gv, fv, _greedy_start(graph._rows, gv, fv))
+            graph._build = (gv, fv), _frozen(found)
+            break
+        chain.append(graph)
+        graph = parent
+    found = graph._build[1]
+    for h in reversed(chain):  # each graph's parent is the one before it here
+        _, u, v = h._origin
+        if found is not None and (found[0][u] >> v & 1 or found[0][v] >> u & 1):
+            found = _frozen(_repaired(h._rows, gv, fv, *found, u, v))
+        h._build = (gv, fv), found
+    return found
 
 
-def _build_of(graph: Graph, gv, fv) -> tuple:
-    """graph's build at (gv, fv), memoised as ``_fresh_build`` does: graph's own memo when
-    that is for these bounds, else as much of its parent's as is exact, else a new build.
-
-    A graph made by ``delete_edge(P, u, v)``, with P still alive, reads P's build
-    (built and memoised on P first, from P's own greedy start, if P has none
-    for these bounds; only the direct parent is consulted). When P's greedy
-    start picked neither u -> v' nor v -> u', it is P - uv's start too: each
-    greedy pick is the lowest bit of the first nonempty of four masks, and v
-    (or u) is never that bit, so dropping it changes no pick, degree or
-    deficit mask. When, besides, no search of P stepped along uv, every search
-    on P - uv takes P's steps (see ``_augment``) and makes P's
-    flip, so P - uv takes P's whole memo, factor (or None) and steps too, and
-    builds nothing; a chain of deletions passes it on. Otherwise P - uv
-    raises its own rows, from P's start where that is exact. So every G - e
-    taken from one G shares one greedy pass, and most share G's raises too.
-    """
-    kept = graph._build
-    if kept is not None and kept[0] == (gv, fv):
-        return kept
-    parent = graph._origin[0]() if graph._origin else None
-    if parent is None:
-        return _fresh_build(graph, gv, fv)
-    _, u, v = graph._origin
-    kept = parent._build
-    if kept is None or kept[0] != (gv, fv):
-        kept = _fresh_build(parent, gv, fv)
-    _, start, _, stepped = kept
-    if start[0][u] >> v & 1 or start[0][v] >> u & 1:
-        return _fresh_build(graph, gv, fv)
-    if stepped[u] >> v & 1 or stepped[v] >> u & 1:
-        return _fresh_build(graph, gv, fv, start)
-    graph._build = kept
-    return kept
+def _frozen(found: tuple[list[int], list[int]] | None) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    return None if found is None else (tuple(found[0]), tuple(found[1]))
 
 
 def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
@@ -699,14 +684,14 @@ def find_fractional_factor(graph: Graph, g, f) -> FractionalAssignment | None:
     [v -> u' in F]) / 2 is one; a failed search is a Hall-type proof that
     none exists, so this agrees with ``has_fractional_gf_factor`` on every
     input. The certificate holds F itself, as G's row masks and F's
-    left-side arc masks, so building it costs no pass over the edges. It is
-    the certificate a build from scratch returns, bit for bit. G keeps its
-    last build and the bounds it was for, so a second call at those bounds
-    builds nothing. A G made by ``delete_edge`` takes its parent's greedy
-    start, or the parent's whole build, factor and all, while that is exact
-    (see ``_build_of``).
+    left-side arc masks, so building it costs no pass over the edges. G
+    keeps its last factor and the bounds it was for, so a second call at
+    those bounds builds nothing. A G made by ``delete_edge(P, u, v)`` repairs
+    its live parent's factor instead of building its own (see
+    ``_factor_of``): it is a valid certificate, though not always the one a
+    build from scratch would return.
     """
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    out = _build_of(graph, gv, fv)[2]
-    return None if out is None else FractionalAssignment(graph._rows, out)
+    found = _factor_of(graph, gv, fv)
+    return None if found is None else FractionalAssignment(graph._rows, found[0])

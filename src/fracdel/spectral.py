@@ -82,9 +82,10 @@ def _adjacency_stack(g: Graph, k: int) -> np.ndarray:
     """k copies of the adjacency matrix in one (k, n, n) array; ValueError above MATRIX_GUARD, before any allocation."""
     _check_matrix_guard(g.n)
     import numpy as np
-    m = np.zeros((k, g.n, g.n))
-    u, v = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
-    m[:, u, v] = m[:, v, u] = 1.0
+    n, w = g.n, (g.n + 7) // 8  # each row mask as w little-endian bytes, unpacked to its n low bits
+    rows = np.frombuffer(b"".join(r.to_bytes(w, "little") for r in g._rows), dtype=np.uint8).reshape(n, w)
+    m = np.empty((k, n, n))
+    m[:] = np.unpackbits(rows, axis=1, count=n, bitorder="little")
     return m
 
 

@@ -100,10 +100,24 @@ MUTANTS = (
     ),
     Mutant(
         "repair-no-right-raise",
-        "oracle._deleted_by_repair: a repair raises u' and v' again on the right side",
+        "oracle._repaired: a repair raises u' and v' again on the right side",
         "src/fracdel/oracle.py",
         "(out, into, ends, ends)",
         "(out, into, ends, 0)",
+    ),
+    Mutant(
+        "repair-from-u-only",
+        "oracle._repaired: a repair raises from both ends of the deleted edge",
+        "src/fracdel/oracle.py",
+        "ends = 1 << u | 1 << v",
+        "ends = 1 << u",
+    ),
+    Mutant(
+        "per-edge-keeps-one-arc",
+        "oracle._factor_of: a G - uv repairs its parent's factor when that uses either arc of uv",
+        "src/fracdel/oracle.py",
+        "(found[0][u] >> v & 1 or found[0][v] >> u & 1)",
+        "(found[0][u] >> v & 1 and found[0][v] >> u & 1)",
     ),
     Mutant(
         "repair-tie-takes-f1",

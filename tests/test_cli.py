@@ -657,7 +657,8 @@ def test_a_named_command_is_parsed_by_its_own_parser_alone(argv):
 
 def test_the_bytes_pinned_by_ci(capsys, monkeypatch, tmp_path):
     # the workflow's pins, run in process: a change that moves any greedy pick, search or
-    # flip of a build, or any witness of these refutations, fails here as well as in CI
+    # flip of a build, of a G - e's repair of G's factor, or any witness of these
+    # refutations, fails here as well as in CI
     r = random.Random(20260816)
     gnp32 = to_graph6(Graph(32, [e for e in combinations(range(32), 2) if r.random() < 0.5]))
     path = tmp_path / "gnp32.g6"
@@ -667,8 +668,8 @@ def test_the_bytes_pinned_by_ci(capsys, monkeypatch, tmp_path):
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "a55dbcd4495b1ab932b963c330e5353090783b8b2058d2b6d2a7a472873f7b4c"
     for (a, b), digest in (
-        ((1, 3), "7d84bdf747f2cdcdb322a80c580ce1ed728e172b70b8310e84a43c37a3c672c4"),
-        ((3, 3), "ece9af6997f088ed95a652f144ece923a0f5e323c3fdd5bc8d556c1ccc2adcba"),
+        ((1, 3), "904c0702b8ce494351920233769cf8527aac51075922c29bb6c80c0743559fb0"),
+        ((3, 3), "1d019293b829ce0dd40a522298b726a6331556e1adce407d53d63f788ec44e89"),
     ):
         g = parse_graph6(gnp32)  # a fresh graph, with no build kept, as in its own process
         lines = [json.dumps(find_fractional_factor(delete_edge(g, u, v), a, b).to_json()) for u, v in g.edges()]

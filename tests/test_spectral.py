@@ -46,6 +46,21 @@ def test_matrices():
     assert q.tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
 
 
+def test_matrices_from_the_row_masks_equal_an_edge_list_build():
+    # rows past 64 bits (n = 65, 200) and edgeless graphs too; Q's diagonal is the degrees
+    rng = random.Random(5531)
+    for n in (1, 7, 32, 65, 200):
+        for p in (0.0, 0.1, 0.5, 0.9):
+            g = gnp(n, p, rng)
+            want = np.zeros((n, n))
+            for u, v in g.edges():
+                want[u, v] = want[v, u] = 1.0
+            a = adjacency_matrix(g)
+            assert a.dtype == np.float64 and np.array_equal(a, want), (n, p)
+            want[np.diag_indices(n)] = g.degrees()
+            assert np.array_equal(signless_laplacian_matrix(g), want), (n, p)
+
+
 def test_dense_matrices_are_refused_above_the_guard():
     g = Graph(MATRIX_GUARD + 1)  # edgeless, so the graph itself is small
     tracemalloc.start()
