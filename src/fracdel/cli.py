@@ -58,8 +58,6 @@ def _emit(obj) -> None:
 
 
 def _tsv_cell(value) -> str:
-    if value is None:
-        return "NA"
     if value is True:
         return "true"
     if value is False:

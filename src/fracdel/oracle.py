@@ -28,24 +28,15 @@ the arcs u -> v' and v -> u' from a copy and raises it again from u and v.
 A G - uv made by ``delete_edge`` gets its certificate that way from its
 parent's factor, and the repairs below are the same call.
 
-``is_fractional_ab_deleted`` uses both, in this order: the degree test,
-the size guard, a closed form, the slack factor, then F0, F1 and repairs. A
+``is_fractional_ab_deleted`` decides in this order: the degree test, the
+size guard, a closed form, F0, F1 and repairs, then the 2^n witness scan. A
 vertex of degree <= a refutes G at S = {} before anything is built. Past the
-guard, b(delta - 1) >= a * Delta decides G with no search: delta > a by then,
-so the weight min(1, b / Delta) on every edge of any G - e puts each vertex
-sum between a and b. It never holds at a = b. Otherwise a true verdict comes
-from the double cover in polynomial time. When a < b, one [a + 1,
-b]-factor is sought first: deleting an edge uv drops its arcs u -> v' and
-v -> u', which lowers each of u, v, u' and v' by at most one, so that one
-factor keeps every G - e in [a, b]. A failed slack build proves only that G
-has no [a + 1, b]-factor, never a refutation. Without one, and always at
-a = b, one [a, b]-factor F0 of G is built; an edge outside its support
-leaves F0 a factor of G - e. A second factor F1 is built with its greedy
-start steered off F0's support, and covers the edges outside its own
-support the same way. Each edge that both F0 and F1 use is repaired out of
-whichever of them holds fewer of its two arcs; every repair succeeds exactly
-when G is deleted. Only a refutation past that runs the 2^n scan, to report the
-first violating S in (size, lex) order, and the scan must find one.
+guard, b(delta - 1) >= a * Delta decides G with no search. Otherwise one
+[a, b]-factor F0 of the double cover, a second F1 built off F0's support,
+and one repair for each edge both use give every G - e a factor, and every
+failed raise, F0's build or a repair, refutes G. Only a refutation runs the
+2^n scan, to report the first violating S in (size, lex) order, and the scan
+must find one.
 
 The test suite compares these against the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
@@ -223,9 +214,10 @@ def _constant(x: int, n: int) -> tuple[int, ...]:
 
 
 def _check_subset_guard(n: int, max_n: int | None) -> None:
-    limit = SUBSET_GUARD if max_n is None else max_n
-    if n > limit:
-        raise SizeGuardError(f"n={n} exceeds the subset-enumeration limit {limit}; pass max_n to override")
+    if max_n is None and n > SUBSET_GUARD:
+        raise SizeGuardError(f"n={n} exceeds the subset-enumeration limit {SUBSET_GUARD}; pass max_n to override")
+    if max_n is not None and n > max_n:
+        raise SizeGuardError(f"n={n} exceeds the subset-enumeration limit max_n={max_n}")
     if n > _MASK_BITS:
         raise SizeGuardError(f"n={n} exceeds the {_MASK_BITS}-vertex limit of the subset masks")
 
@@ -257,19 +249,20 @@ def _subset_sums(masks: np.ndarray, vals: Sequence[int]) -> np.ndarray:
     return total
 
 
-def _chunk_violations(adj, full, s, below, f, g, with_epsilon) -> np.ndarray:
-    """The masks in s whose (S, T) pair violates the criterion."""
+def _chunk_violations(adj, full, s, f, g, rule: str) -> np.ndarray:
+    """The masks in s whose (S, T) pair violates the criterion of rule."""
     import numpy as np
+    deleted = rule == "deleted"
     not_s = ~s & full
     t = np.zeros(len(s), dtype=np.uint64)
     d_t = np.zeros(len(s), dtype=np.uint16)  # at most 63 vertices of remaining degree <= 62
     for v, row in enumerate(adj):
         d = np.bitwise_count(row & not_s)
-        in_t = (d < below[v]) & ((not_s & np.uint64(1 << v)) != 0)
+        in_t = (d < g[v] + deleted) & ((not_s & np.uint64(1 << v)) != 0)
         t |= in_t.astype(np.uint64) << np.uint64(v)
         d_t += d * in_t
     value = _subset_sums(s, f) + d_t - _subset_sums(t, g)
-    if not with_epsilon:
+    if not deleted:
         return s[value < 0]
     near = value < 2
     s, t, value = s[near], t[near], value[near]
@@ -279,12 +272,11 @@ def _chunk_violations(adj, full, s, below, f, g, with_epsilon) -> np.ndarray:
     return s[value < eps]
 
 
-def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, rule: str):
-    """(True, None), or (False, witness) for the first S in (size, lex) order with
-    f(S) + d_{G-S}(T) - g(T) < epsilon(S, T), where T = {v not in S : d_{G-S}(v) < below[v]}.
+def _subset_decide(graph: Graph, f, g, rule: str):
+    """(True, None), or (False, witness) for the first S in (size, lex) order that
+    violates the criterion of rule (see ``_witness``).
 
-    epsilon is 0 unless with_epsilon. The witness is ``_witness`` at that S; one
-    that passes there is a kernel bug.
+    The witness is ``_witness`` at that S; one that passes there is a kernel bug.
     """
     import numpy as np
     n = graph.n
@@ -296,7 +288,7 @@ def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, rule: str):
             continue  # every mask in this chunk has start's bits
         s = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.uint64)
         s = s[np.bitwise_count(s) <= best[0]]
-        bad = _chunk_violations(adj, full, s, below, f, g, with_epsilon)
+        bad = _chunk_violations(adj, full, s, f, g, rule)
         if len(bad):
             sizes = np.bitwise_count(bad)
             first = min(tuple(_bits(m)) for m in bad[sizes == sizes.min()].tolist())  # lex-first of the smallest
@@ -305,7 +297,7 @@ def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, rule: str):
                 break
     if best[0] > n:
         return True, None
-    found = _witness(graph, sum(1 << v for v in best[1]), below, f, g, with_epsilon, rule)
+    found = _witness(graph, sum(1 << v for v in best[1]), f, g, rule)
     if found.satisfied:
         raise RuntimeError(f"subset kernel reported S={list(found.s)}, which satisfies the {found.rule} criterion")
     return False, found
@@ -314,19 +306,20 @@ def _subset_decide(graph: Graph, below, f, g, with_epsilon: bool, rule: str):
 # --- criterion pieces -------------------------------------------------------
 
 
-def _witness(graph: Graph, smask: int, below, f, g, with_epsilon: bool, rule: str) -> DeficiencyWitness:
-    """The criterion at the vertex mask S, as the subset kernel states it: T = {v not in S :
-    d_{G-S}(v) < below[v]}, and theta = f(S) + d_{G-S}(T) - g(T) must reach epsilon(S, T),
-    or 0 unless with_epsilon."""
+def _witness(graph: Graph, smask: int, f, g, rule: str) -> DeficiencyWitness:
+    """The criterion of rule at the vertex mask S, as the subset kernel states it: T = {v not
+    in S : d_{G-S}(v) < g(v)}, or <= g(v) under "deleted", and theta = f(S) + d_{G-S}(T) - g(T)
+    must reach epsilon(S, T) under "deleted", or 0 under "factor"."""
+    deleted = rule == "deleted"
     rows = graph._rows
     tmask = d_t = 0
     for v, row in enumerate(rows):
         d = (row & ~smask).bit_count()
-        if d < below[v] and not smask >> v & 1:
+        if d < g[v] + deleted and not smask >> v & 1:
             tmask |= 1 << v
             d_t += d
     value = sum(f[v] for v in _bits(smask)) + d_t - sum(g[v] for v in _bits(tmask))
-    eps = _epsilon(rows, smask, tmask) if with_epsilon else 0
+    eps = _epsilon(rows, smask, tmask) if deleted else 0
     return DeficiencyWitness(tuple(_bits(smask)), tuple(_bits(tmask)), value, eps, rule, value >= eps)
 
 
@@ -359,7 +352,7 @@ def deficiency_witness(graph: Graph, s: Iterable[int], a: int, b: int) -> Defici
     a, b = _validate_ab(a, b)
     _require_vertices(graph)
     n = graph.n
-    return _witness(graph, _vertex_mask(graph, s, "S"), (a + 1,) * n, (b,) * n, (a,) * n, True, "deleted")
+    return _witness(graph, _vertex_mask(graph, s, "S"), (b,) * n, (a,) * n, "deleted")
 
 
 def factor_deficiency_witness(graph: Graph, s: Iterable[int], g, f) -> DeficiencyWitness:
@@ -367,7 +360,7 @@ def factor_deficiency_witness(graph: Graph, s: Iterable[int], g, f) -> Deficienc
     and an error names the first out-of-range vertex in input order."""
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
-    return _witness(graph, _vertex_mask(graph, s, "S"), gv, fv, gv, False, "factor")
+    return _witness(graph, _vertex_mask(graph, s, "S"), fv, gv, "factor")
 
 
 # --- deciders ----------------------------------------------------------------
@@ -383,7 +376,7 @@ def has_fractional_gf_factor(graph: Graph, g, f, max_n: int | None = None):
     _require_vertices(graph)
     gv, fv = _bounds_vectors(graph, g, f)
     _check_subset_guard(graph.n, max_n)
-    return _subset_decide(graph, gv, fv, gv, False, "factor")
+    return _subset_decide(graph, fv, gv, "factor")
 
 
 def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = None):
@@ -400,14 +393,12 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     b(delta - 1) >= a * Delta decides a true verdict with nothing built:
     the weight min(1, b / Delta) on every edge of G - e gives each vertex a
     sum between a and b, since delta > a. It never holds at a = b.
-    Otherwise a true verdict is decided in polynomial time on the double
-    cover. When a < b, one [a + 1, b]-factor certifies every G - e at once.
-    Without one, which refutes nothing, and always at a = b: an [a, b]-factor F0,
-    then a second one F1 built off F0's support; an edge outside either
-    support needs nothing more, and each edge in both is dropped from a
-    copy of F0 or F1 that is then repaired. A refutation, from F0's failed
-    build or a failed repair, needs the 2^n scan for its witness. The size
-    guard applies to both of these verdicts, and to an edgeless graph.
+    Otherwise the verdict comes from ``_deleted_by_repair``, in polynomial
+    time: an [a, b]-factor F0 of the double cover, a second one F1 built off
+    F0's support, and a repair for each edge in both supports. Every failed
+    raise refutes G, and only a refutation needs the 2^n scan for its
+    witness. The size guard applies to both verdicts, and to an edgeless
+    graph.
     """
     a, b = _validate_ab(a, b)
     _require_vertices(graph)
@@ -435,7 +426,7 @@ def _subset_deleted(graph: Graph, a: int, b: int):
     """The subset criterion alone, on a graph with at least one edge: (True, None),
     or (False, witness) for the first violating S in (size, lex) order."""
     n = graph.n
-    return _subset_decide(graph, (a + 1,) * n, (b,) * n, (a,) * n, True, "deleted")
+    return _subset_decide(graph, (b,) * n, (a,) * n, "deleted")
 
 
 # --- double-cover b-matching ---------------------------------------------------
@@ -593,31 +584,20 @@ def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
     """Whether G - e has a fractional [a, b]-factor for every edge e, on a graph with an edge.
 
     ``is_fractional_ab_deleted`` calls this only on the graphs that its
-    degree test, size guard and closed form leave undecided. When a < b, an
-    [a + 1, b]-factor of the double cover is raised first. If there is one,
-    every G - e has a factor: dropping uv's two arcs leaves each
-    degree at a or above and still at most b. If there is none, that says
-    nothing about G - e, and the route below decides, as it always does at
-    a = b.
-
-    One [a, b]-factor F0 of the double cover is built; if there is none, no
-    G - e has one either. An edge uv outside F0's support (neither u -> v'
-    nor v -> u' in F0) leaves F0 a factor of G - uv. A second factor F1 of
-    the same double cover is built with a greedy start that takes arcs off
-    F0's support first, and covers in the same way every edge outside its
-    own support; it exists because F0 does. Only the edges both supports
-    share are left: for each, whichever of F0 and F1 holds fewer of the
-    edge's two arcs (F0 on a tie) is repaired by ``_repaired``, and a failed
-    repair means G - uv has no factor.
+    degree test, size guard and closed form leave undecided. One [a, b]-factor
+    F0 of the double cover is built; if there is none, no G - e has one
+    either. An edge uv outside F0's support (neither u -> v' nor v -> u' in
+    F0) leaves F0 a factor of G - uv. A second factor F1 of the same double
+    cover is built with a greedy start that takes arcs off F0's support
+    first, and covers in the same way every edge outside its own support; it
+    exists because F0 does. Only the edges both supports share are left: for
+    each, whichever of F0 and F1 holds fewer of the edge's two arcs (F0 on a
+    tie) is repaired by ``_repaired``, and a failed repair means G - uv has
+    no factor. So every failed raise here proves G is not deleted.
     """
     n = graph.n
     adj = list(graph._rows)
-    fv = (b,) * n
-    if a < b:
-        slack = (a + 1,) * n  # deleting uv drops at most one arc at each of u, v, u' and v'
-        if _double_cover_factor(adj, slack, fv, _greedy_start(adj, slack, fv)) is not None:
-            return True
-    gv = (a,) * n
+    gv, fv = (a,) * n, (b,) * n
     found = _double_cover_factor(adj, gv, fv, _greedy_start(adj, gv, fv))
     if found is None:
         return False

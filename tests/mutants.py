@@ -71,6 +71,13 @@ MUTANTS = (
         "                y = came_by_f[x]\n",
     ),
     Mutant(
+        "degree-test-strict",
+        "oracle.is_fractional_ab_deleted: a vertex of degree a already refutes G at S = {}",
+        "src/fracdel/oracle.py",
+        "if graph.edge_count and low <= a:",
+        "if graph.edge_count and low < a:",
+    ),
+    Mutant(
         "closed-form-delta",
         "oracle.is_fractional_ab_deleted: the closed form b(delta - 1) >= a * Delta counts degrees in G - e",
         "src/fracdel/oracle.py",
@@ -97,6 +104,20 @@ MUTANTS = (
         "src/fracdel/oracle.py",
         "first = min(tuple(_bits(m)) for m in bad[sizes == sizes.min()].tolist())",
         "first = tuple(_bits(max(bad[sizes == sizes.min()].tolist())))",
+    ),
+    Mutant(
+        "witness-t-rule",
+        "oracle._witness: T takes the vertices strictly below g, or at most g under \"deleted\"",
+        "src/fracdel/oracle.py",
+        "if d < g[v] + deleted and not smask >> v & 1:",
+        "if d <= g[v] + deleted and not smask >> v & 1:",
+    ),
+    Mutant(
+        "epsilon-two-as-one",
+        "oracle._epsilon: an edge inside T makes epsilon 2",
+        "src/fracdel/oracle.py",
+        "    if any(row & tmask for row in t_rows):\n        return 2\n",
+        "    if any(row & tmask for row in t_rows):\n        return 1\n",
     ),
     Mutant(
         "repair-no-right-raise",
@@ -128,6 +149,13 @@ MUTANTS = (
         equivalent="either copy, less uv's arcs, has every degree at most b and only u and v below a, and raising"
         " from such a start finds a factor of G - uv exactly when there is one: the choice moves searches, not"
         " verdicts",
+    ),
+    Mutant(
+        "theorem-16-threshold",
+        "theorems 1.6: the threshold 2n - 4 + (a + 1) / (n - 1)",
+        "src/fracdel/theorems.py",
+        '"q_threshold": 2 * n - 4 + (a + 1) / (n - 1) if n >= 2 else None,',
+        '"q_threshold": 2 * n - 4 + a / (n - 1) if n >= 2 else None,',
     ),
     Mutant(
         "theorem-18-bound-plus-one",

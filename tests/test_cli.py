@@ -152,7 +152,10 @@ def test_check_true(capsys):
 
 def test_check_guard_exit(capsys):
     code, _, err = run(capsys, "check", "--graph6", to_graph6(cycle_graph(25)), "--a", "1", "--b", "3")
-    assert code == 2 and "max_n" in err
+    assert (code, err) == (2, "error: n=25 exceeds the subset-enumeration limit 24; pass max_n to override\n")
+    # a limit that was passed is named, not asked for
+    code, _, err = run(capsys, "check", "--graph6", "F~~~w", "--a", "1", "--b", "3", "--max-n", "5")
+    assert (code, err) == (2, "error: n=7 exceeds the subset-enumeration limit max_n=5\n")
     code, out, _ = run(
         capsys, "check", "--graph6", to_graph6(cycle_graph(25)), "--a", "1", "--b", "3", "--max-n", "25"
     )
@@ -375,6 +378,15 @@ def test_scan_survives_numerical_failure(capsys, monkeypatch):
     assert rows[1] == ["2", "1.8"] + ["NA"] * 7
     assert json.loads(out.splitlines()[-1])["errors"] == 1
     assert "line 2: numerical failure" in err
+
+
+def test_solver_failure_exits_1(capsys, monkeypatch):
+    # with no sweeps the eigensolver leaves K_7's 42 off-diagonal ones, norm sqrt(42): spectral
+    # and theorem print nothing on stdout and exit 1 with the solver's message
+    monkeypatch.setattr(fracdel.spectral, "MAX_SWEEPS", 0)
+    for argv in (["spectral"], ["theorem", "--theorem", "1.4", "--a", "1", "--b", "3"]):
+        got = run(capsys, *argv, "--graph6", "F~~~w")
+        assert got == (1, "", "numerical failure: no convergence within 0 sweeps (residual 6.481e+00)\n"), argv
 
 
 def test_scan_file_and_stdin_print_same_bytes(capsys, monkeypatch, tmp_path):
@@ -680,7 +692,8 @@ def test_the_bytes_pinned_by_ci(capsys, monkeypatch, tmp_path):
     ):
         want = f'{{"n": 7, "a": 1, "b": {b}, "verdict": false, "witness": {witness}}}\n'
         assert run(capsys, "check", "--graph6", g6, "--a", "1", "--b", str(b)) == (1, want, "")
-    # a refutation that passes the degree test at a < b, and a deleted graph with no [a + 1, b]-factor
+    # at a < b past the closed form: a refutation, where a repair fails, and a deleted graph, where F0,
+    # F1 and every repair succeed
     want = '{"n": 7, "a": 1, "b": 2, "verdict": false, "witness": {"S": [0, 6], "T": [1, 2, 3, 4, 5], "theta": 1, "epsilon": 2, "rule": "deleted"}}\n'
     assert run(capsys, "check", "--graph6", "FQaFw", "--a", "1", "--b", "2") == (1, want, "")
     want = '{"n": 6, "a": 1, "b": 2, "verdict": true, "witness": null}\n'

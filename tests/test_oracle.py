@@ -391,7 +391,7 @@ def test_deleted_raises_when_the_subset_scan_finds_no_violation(monkeypatch):
 
 def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
     # F1 lives on the same double cover as F0, so a failed build is a bug, never a verdict.
-    # F1 is built at a = b, and at a < b when G has no [a + 1, b]-factor, as EXjw has none at (1, 2)
+    # F1 is built on every graph with an F0 that the closed form leaves undecided, at a = b and at a < b
     steered = []  # the greedy starts taken off F0's support
     greedy_start, double_cover_factor = oracle._greedy_start, oracle._double_cover_factor
 
@@ -411,8 +411,9 @@ def test_deleted_raises_when_the_second_factor_is_missing(monkeypatch):
             is_fractional_ab_deleted(g, a, b)
 
 
-# deleted graphs at a < b with no [a + 1, b]-factor, so F0, F1 and repairs decide them
-NO_SLACK = [("EXjw", 1, 2), ("HqcPcIS", 1, 3), ("Fl{Ww", 2, 4), ("Fj~VG", 3, 4), ("HpYvpKT", 2, 3), ("HnpJHVT", 3, 5)]
+# deleted graphs at a < b that the closed form leaves to F0, F1 and repairs; on each, F0 and F1
+# share between 1 and 12 edges, so each needs a repair
+PAST_CLOSED_FORM = [("EXjw", 1, 2), ("HqcPcIS", 1, 3), ("Fl{Ww", 2, 4), ("Fj~VG", 3, 4), ("HpYvpKT", 2, 3), ("HnpJHVT", 3, 5)]
 
 
 def closed_form_holds(g, a, b):
@@ -423,10 +424,9 @@ def closed_form_holds(g, a, b):
 
 def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
     # a true verdict rests on one double-cover factor per G - e, unless the closed form
-    # b(delta - 1) >= a * Delta decides it and nothing is raised. Otherwise at a < b it is first
-    # one [a + 1, b]-factor for every edge, and nothing else is raised; where there is none, and
-    # at a = b, it is F0 for the edges outside its support, F1 for those outside F1's, and a
-    # repaired copy of F0 or of F1 for each edge both use
+    # b(delta - 1) >= a * Delta decides it and nothing is raised. Otherwise, at a < b as at a = b,
+    # it is F0 for the edges outside its support, F1 for those outside F1's, and a repaired copy
+    # of F0 or of F1 for each edge both use
     states = []  # (adjacency, g, out, into, found) of every raise, which works on out and into in place
     double_cover_factor = oracle._double_cover_factor
 
@@ -444,8 +444,8 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
             (16, 0.5, 3, 3), (18, 0.5, 3, 3), (20, 0.5, 4, 4), (18, 0.7, 5, 5),  # a = b: F1 meets F0 more
             (12, 0.6, 1, 2), (16, 0.5, 1, 3), (14, 0.7, 2, 3), (20, 0.5, 2, 4),  # a < b, past the closed form
         ]
-    ] + [(parse_graph6(g6), a, b) for g6, a, b in NO_SLACK] + [(complete(3), 1, 2)]  # K_3: b(delta - 1) = a * Delta
-    repairs = slack = closed = 0
+    ] + [(parse_graph6(g6), a, b) for g6, a, b in PAST_CLOSED_FORM] + [(complete(3), 1, 2)]  # K_3: b(delta - 1) = a * Delta
+    repairs = below_b = closed = 0
     for g, a, b in cases:
         n = g.n
         states.clear()
@@ -455,15 +455,6 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
             closed += 1
             continue
         full = [g.adjacency_mask(v) for v in range(n)]
-        if a < b:
-            assert states[0][:2] == (full, a + 1)  # the slack build comes first, on G
-            if states[0][4]:
-                assert len(states) == 1  # the only raise
-                out, into = states[0][2:4]
-                assert all(a + 1 <= out[x].bit_count() <= b and a + 1 <= into[x].bit_count() <= b for x in range(n))
-                slack += 1
-                continue
-            del states[0]  # no [a + 1, b]-factor: F0, F1 and the repairs follow
         factors, repaired = [], set()
         for adj, low, out, into, found in states:
             removed = {(u, v) for u in range(n) for v in range(n) if (full[u] ^ adj[u]) >> v & 1}
@@ -484,23 +475,30 @@ def test_every_repair_ends_in_a_factor_of_the_reduced_double_cover(monkeypatch):
         both = {(u, v) for u, v in g.edges() if all(out[u] >> v & 1 or out[v] >> u & 1 for out in factors)}
         assert repaired == both, (g, a, b)
         if a < b:
-            assert 1 <= len(both) <= 12, (g, a, b, len(both))
+            assert len(both) <= 12, (g, a, b, len(both))  # at a < b the two supports share few edges
+            below_b += 1
         repairs += len(repaired)
-    assert closed == 5 and slack == 5 and repairs > 20
+    assert closed == 5 and below_b == 11 and repairs > 20
 
 
-def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
-    # at a < b, past the closed form, the decider first raises one [a + 1, b]-factor of the
-    # double cover; deleting uv drops the arcs u -> v' and v -> u', so every degree stays in
-    # [a, b] for every edge. A failed slack build is no refutation: the verdict then comes from
-    # F0, F1 and repairs
-    raises = []  # the factor, or None, of every raise
+def test_every_raise_is_at_a_and_a_failed_one_refutes(monkeypatch):
+    # at a < b, past the closed form, the verdict comes from F0, F1 and repairs as at a = b: every
+    # raise is at g = a, and a raise that fails, F0's build or a repair, proves that some G - e has
+    # no fractional [a, b]-factor, so the verdict is False exactly when a raise failed
+    raises = []  # (the set of g's values, whether a factor was found) of every raise
     double_cover_factor = oracle._double_cover_factor
 
     def recording(adj, gv, fv, start):
         found = double_cover_factor(adj, gv, fv, start)
-        raises.append(found)
+        raises.append((set(gv), found is not None))
         return found
+
+    def decide(g, a, b):
+        raises.clear()
+        verdict, witness = is_fractional_ab_deleted(g, a, b)
+        assert all(low == {a} for low, _ in raises), (g, a, b, raises)  # never at g = a + 1
+        assert verdict == all(found for _, found in raises), (g, a, b, raises)
+        return verdict, witness
 
     monkeypatch.setattr(oracle, "_double_cover_factor", recording)
     rng = random.Random(5510)
@@ -511,40 +509,28 @@ def test_one_slack_factor_certifies_every_g_minus_e(monkeypatch):
         b = a + rng.randint(1, 2)
         if not g.edge_count or g.min_degree() <= a:
             continue  # refuted at S = {} before any raise
-        raises.clear()
-        verdict = is_fractional_ab_deleted(g, a, b)[0]
-        decider = raises.copy()
-        assert verdict == all(find_fractional_factor(delete_edge(g, u, v), a, b) for u, v in g.edges()), (g, a, b)
+        verdict = decide(g, a, b)[0]
         if closed_form_holds(g, a, b):
-            assert verdict and decider == [], (g, a, b)  # decided with nothing raised
+            assert verdict and raises == [], (g, a, b)  # decided with nothing raised
             kinds.append("closed form")
-            continue
-        found = decider[0]
-        if found is None:
-            kinds.append("no slack factor, " + ("deleted" if verdict else "refuted"))
-            continue
-        kinds.append("slack factor")
-        assert verdict and len(decider) == 1, (g, a, b)
-        for u, v in g.edges():
-            out = list(found[0])
-            out[u] &= ~(1 << v)
-            out[v] &= ~(1 << u)
-            into = [sum(o >> x & 1 for o in out) for x in range(g.n)]
-            assert all(a <= o.bit_count() <= b and a <= i <= b for o, i in zip(out, into)), (g, a, b, u, v)
-    # these draws: 212 slack factors, 63 closed-form verdicts and 4 deleted graphs without a slack
-    # factor; no refutation passes the degree test
-    assert kinds.count("slack factor") > 200 and kinds.count("no slack factor, deleted") >= 3, kinds
-    assert kinds.count("closed form") > 50, kinds
-    # such refutations are rare; these two have no [a + 1, b]-factor but an [a, b]-factor, so a
-    # slack build at a instead of a + 1 would call them deleted
+        else:
+            assert len(raises) >= 2, (g, a, b)  # F0 and F1 at least
+            kinds.append("deleted" if verdict else "refuted")
+        assert verdict == all(find_fractional_factor(delete_edge(g, u, v), a, b) for u, v in g.edges()), (g, a, b)
+    # these draws: 216 deleted graphs past the closed form and 63 closed-form verdicts; no
+    # refutation passes the degree test
+    assert kinds.count("deleted") > 200 and kinds.count("closed form") > 50, kinds
+    # such refutations are rare; each of these two has an [a, b]-factor, so F0 is built, and a
+    # later raise fails
     for g6, a, b, expected in [
         ("FQaFw", 1, 2, {"S": [0, 6], "T": [1, 2, 3, 4, 5], "theta": 1, "epsilon": 2}),
         (r"Gm\NiS", 2, 3, {"S": [1, 4, 6], "T": [0, 2, 3, 5, 7], "theta": 1, "epsilon": 2}),
     ]:
         g = parse_graph6(g6)
-        assert g.min_degree() > a and find_fractional_factor(g, a, b) is not None
-        ok, w = is_fractional_ab_deleted(g, a, b)
+        assert g.min_degree() > a and not closed_form_holds(g, a, b) and find_fractional_factor(g, a, b) is not None
+        ok, w = decide(g, a, b)
         assert not ok and w.to_json() == {**expected, "rule": "deleted"}
+        assert raises[0][1] and not raises[-1][1], raises
 
 
 def test_closed_form_decides_near_regular_graphs_with_nothing_raised(monkeypatch):

@@ -54,6 +54,15 @@ def test_report_on_extremal_graph():
     assert r.hypothesis_values["delta"] == 1
 
 
+def test_16_threshold_term_binds_above_q_star_at_a_1():
+    # at (7, 1) the term 2n - 4 + (a + 1)/(n - 1) = 10.333 lies above q* = 10.217, so a graph whose
+    # q falls between them does not meet 1.6; a term of a/(n - 1) = 10.167 would call it met
+    r = eval_theorem(parse_graph6("F~N}g"), "1.6", 1, 3)
+    values = r.hypothesis_values
+    assert values["q_extremal"] < values["q"] < values["q_threshold"] == 10 + 2 / 6
+    assert r.applicable and not r.hypothesis_met and r.consistent
+
+
 def test_report_on_cycle():
     r = eval_theorem(cycle_graph(7), "1.4", 1, 3)
     assert r.applicable and not r.hypothesis_met and r.consistent
