@@ -3,7 +3,9 @@
 ``_jacobi`` solves a (k, n, n) stack of symmetric matrices together. It
 sweeps in the parallel (round-robin) order, and each round applies its
 disjoint rotations to all k matrices at once, as one batched product with
-orthogonal matrices. A matrix leaves the stack once it has converged.
+orthogonal matrices. A matrix leaves the stack once its top eigenpair is
+certified: its off-diagonal norm is <= tol, or it is <= tol * max(1, |M|_F)
+with the top diagonal entry isolated (Weyl) and the pair's residual <= tol.
 ``spectral_summary``, the one way to rho and q, hands it A and D + A as one
 stack of two at the fixed tolerance ``DEFAULT_TOL``.
 
@@ -41,8 +43,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_SWEEPS = 100
-# largest n given dense n x n matrices: 128 MiB each. spectral_summary holds about 11
-# at its peak, and 13 while the round schedule for that n is not yet cached.
+# largest n given dense n x n matrices: 128 MiB each. spectral_summary holds about 10
+# at its peak, and 14 while the round schedule for that n is not yet cached; the cached
+# schedule of a stack of two is 4 matrices' worth of int64 indices.
 MATRIX_GUARD = 4096
 
 
@@ -58,8 +61,10 @@ class ConvergenceError(RuntimeError):
 class SpectralSummary:
     """Adjacency spectral radius and signless Laplacian radius of one graph.
 
-    ``residual`` is the larger of the two eigenpair residuals |Mx - λx|_inf;
-    it is guaranteed <= ``DEFAULT_TOL``.
+    ``residual`` is the larger of the two eigenpair residuals |Mx - λx|_inf
+    against the input matrix; it is guaranteed <= ``DEFAULT_TOL``. Each pair is
+    the top one: its matrix left the solver with an off-diagonal norm <= tol,
+    or with its top diagonal entry more than twice that norm above the rest.
     """
 
     rho: float
@@ -106,8 +111,9 @@ def _off_norms(a: np.ndarray, scratch: np.ndarray) -> list[float]:
     """The off-diagonal Frobenius norm of each matrix of the stack a, worked out in scratch (same shape)."""
     import numpy as np
     np.copyto(scratch, a)
-    scratch.reshape(len(a), -1)[:, :: a.shape[-1] + 1] = 0.0
-    return [float(np.linalg.norm(x)) for x in scratch]
+    flat = scratch.reshape(len(a), -1)
+    flat[:, :: a.shape[-1] + 1] = 0.0
+    return np.sqrt(np.vecdot(flat, flat)).tolist()
 
 
 def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,15 +133,16 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)
-def _schedule(n: int) -> list[np.ndarray]:
-    """The rounds of ``_round_robin(n)`` as flat indices into an n x n matrix.
+def _schedule(n: int, k: int) -> list[np.ndarray]:
+    """The rounds of ``_round_robin(n)`` as flat indices into a flattened (k, n, n) stack.
 
-    A round's array has shape (4, 1, h) for its h pairs: the flat positions of
-    their (p, p), (q, q), (p, q) and (q, p) entries. Adding n * n * j indexes
-    matrix j of a flattened stack.
+    A round's array has shape (4, k, h) for its h pairs: [:, j] holds the flat
+    positions of their (p, p), (q, q), (p, q) and (q, p) entries in matrix j,
+    so [:, :j] indexes a stack of the first j matrices.
     """
     import numpy as np
-    return [np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))[:, None] for p, q in zip(*_round_robin(n))]
+    offsets, pairs = n * n * np.arange(k)[:, None], zip(*_round_robin(n))
+    return [np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))[:, None] + offsets for p, q in pairs]
 
 
 def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, float]]:
@@ -143,72 +150,95 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
 
     All k matrices sweep together: each round's angles are (k, h) arrays for
     its h pairs, and its rotations are applied as one batched product,
-    a = rot^T a rot. A pair is live in a matrix when its a_pq != 0. Its angle
-    is 0 elsewhere, and only live pairs get a_pq = a_qp = 0 and their
-    diagonals from the closed forms. At the start of each sweep, every matrix
-    whose off-diagonal norm is <= tol leaves the stack; its eigenpair is read
-    off and its residual |Mx - lambda x|_inf against m must be <= tol, else
-    ConvergenceError. A matrix still in the stack after max_sweeps sweeps
-    raises ConvergenceError with the largest off-diagonal norm left.
+    a = rot^T a rot. Then every pair gets a_pq = a_qp = 0 and its diagonals
+    from the closed forms, in one put; a pair with a_pq = 0 has t = 0, so its
+    closed forms write back the values already there.
+
+    At the start of each sweep, a matrix M of the stack, with off-diagonal
+    norm ``off``, leaves it when either holds; its top eigenpair (the largest
+    diagonal entry and its column of the rotations) is read off:
+    - off <= tol. Its residual |Mx - lambda x|_inf against m must then be
+      <= tol, else ConvergenceError.
+    - off <= tol * max(1, |M|_F), the pair's residual is <= tol, and the top
+      diagonal entry exceeds every other by more than 2 * off. By Weyl's
+      inequality only the top eigenvalue lies within off of that entry, so the
+      pair is the top one, and its residual bounds its error. Roundoff grows
+      with |M|, and on a large multiple eigenvalue off can stall above tol.
+    A matrix still in the stack after max_sweeps sweeps raises
+    ConvergenceError with the largest off-diagonal norm left.
     """
     import numpy as np
     k, n, _ = m.shape
-    rounds, offsets = _schedule(n), n * n * np.arange(k)[:, None]  # built before the n x n buffers: a lower peak
+    rounds = _schedule(n, k)  # built before the n x n buffers: a lower peak
+    flat = m.reshape(k, -1)
+    scales = [tol * max(1.0, norm) for norm in np.sqrt(np.vecdot(flat, flat)).tolist()]  # |M|_F of each input
     a = m + m.transpose(0, 2, 1)
     a /= 2.0
     v = np.tile(np.eye(n), (k, 1, 1))
     rot, tmp = v.copy(), np.empty_like(a)
-    identity = np.repeat([1.0, 0.0], 2 * k * (n // 2)).reshape(4, k, n // 2)
-    turn, fix = np.empty((4, k, n // 2)), np.zeros((4, k, n // 2))  # a round's c, c, s, -s; its closed forms and zeros
+    rot_t = rot.transpose(0, 2, 1)
+    h = n // 2
+    identity = np.repeat([1.0, 0.0], 2 * k * h).reshape(4, k, h)
+    angle = identity.copy()  # rows 1, 1, t, -t; times c they are a round's c, c, s, -s
+    turn, fix = np.empty((4, k, h)), np.zeros((4, k, h))  # the rotations' entries; the closed forms and zeros
+    least, zero = np.finfo(float).smallest_subnormal, np.float64(0.0)  # a ufunc adds a float64 faster than a float
     results: list = [None] * k
     left = list(range(k))  # the input index of each matrix still in the stack
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # pairs not live, and a tiny a_pq: t = 0
-        for sweep in range(max_sweeps + 1):  # the pass at sweep == max_sweeps returns or raises
-            offs = _off_norms(a, tmp)
-            for j, off in enumerate(offs):
-                if off <= tol:  # converged: read its eigenpair off and check it against the input
-                    top = int(np.argmax(np.diag(a[j])))
-                    value, vector = float(a[j, top, top]), v[j, :, top].copy()
-                    residual = float(np.max(np.abs(m[left[j]] @ vector - value * vector)))
-                    if not residual <= tol:  # a NaN residual fails too
-                        raise ConvergenceError("eigenpair residual exceeds tol", residual)
+    for sweep in range(max_sweeps + 1):  # the pass at sweep == max_sweeps returns or raises
+        offs = _off_norms(a, tmp)
+        stay = []
+        for j, off in enumerate(offs):
+            if off <= scales[left[j]]:  # read its top pair off and check it against the input
+                diag = a[j].diagonal()
+                top = int(np.argmax(diag))
+                value, vector = float(diag[top]), v[j, :, top].copy()
+                residual = float(np.max(np.abs(m[left[j]] @ vector - value * vector)))
+                if off <= tol and not residual <= tol:  # a NaN residual fails too
+                    raise ConvergenceError("eigenpair residual exceeds tol", residual)
+                if off <= tol or residual <= tol and value - np.delete(diag, top).max() > 2.0 * off:
                     results[left[j]] = value, residual
-            stay = [j for j, off in enumerate(offs) if not off <= tol]  # a NaN norm stays, to run out of sweeps
-            if not stay:
-                return results
-            if sweep == max_sweeps:
-                raise ConvergenceError(f"no convergence within {max_sweeps} sweeps", max(offs[j] for j in stay))
-            if len(stay) < len(left):  # the converged leave the stack, which is compacted in place
-                for to, j in enumerate(stay):
-                    a[to], v[to] = a[j], v[j]
-                kept = len(stay)
-                a, v, rot, tmp, offsets = a[:kept], v[:kept], rot[:kept], tmp[:kept], offsets[:kept]
-                identity, turn, fix = identity[:, :kept], turn[:, :kept], fix[:, :kept]
-                left = [left[j] for j in stay]
-            for pairs in rounds:
-                idx = pairs + offsets
-                old = a.take(idx)
-                app, aqq, apq = old[0], old[1], old[2]
-                if not np.count_nonzero(apq):
                     continue
-                live = apq != 0.0
-                tau = (aqq - app) / (2.0 * apq)
-                # the small angle; hypot keeps sqrt(1 + tau^2) finite when tau^2 would overflow
-                t = np.where(live, np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-                np.divide(1.0, np.sqrt(1.0 + t * t), out=turn[0])
-                turn[1] = turn[0]
-                np.multiply(t, turn[0], out=turn[2])
-                np.subtract(0.0, turn[2], out=turn[3])  # -s, and +0.0 (not -0.0) where the pair is not live
-                rot.put(idx, turn)
-                np.matmul(rot.transpose(0, 2, 1), a, out=tmp)
-                np.matmul(tmp, rot, out=a)
-                np.matmul(v, rot, out=tmp)
-                v, tmp = tmp, v
-                rot.put(idx, identity)
-                tapq = t * apq  # closed forms cut roundoff drift
-                np.subtract(app, tapq, out=fix[0])
-                np.add(aqq, tapq, out=fix[1])
-                a.put(idx, np.where(live, fix, a.take(idx)))
+            stay.append(j)  # a NaN norm stays, to run out of sweeps
+        if not stay:
+            return results
+        if sweep == max_sweeps:
+            raise ConvergenceError(f"no convergence within {max_sweeps} sweeps", max(offs[j] for j in stay))
+        if len(stay) < len(left):  # the converged leave the stack, which is compacted in place
+            for to, j in enumerate(stay):
+                a[to], v[to] = a[j], v[j]
+            kept = len(stay)
+            a, v, rot, tmp = a[:kept], v[:kept], rot[:kept], tmp[:kept]
+            rot_t = rot.transpose(0, 2, 1)
+            identity, angle, turn, fix = identity[:, :kept], angle[:, :kept], turn[:, :kept], fix[:, :kept]
+            rounds = [idx[:, :kept] for idx in rounds]
+            left = [left[j] for j in stay]
+        t, shift, closed = angle[2], angle[2:], fix[:2]
+        for idx in rounds:
+            old = a.take(idx)
+            app, aqq, apq = old[0], old[1], old[2]
+            if not np.count_nonzero(apq):
+                continue
+            # the small angle t = 2a_pq / (|d| + hypot(d, 2a_pq)), d = a_qq - a_pp, signed as d * a_pq and
+            # +1 at a tie d = 0; a zero denominator (a_pq = 0 = d) becomes the least subnormal, so t = 0
+            d = aqq - app
+            two = apq + apq
+            den = np.hypot(d, two)
+            den += np.abs(d)
+            np.maximum(den, least, out=den)
+            np.copysign(two / den, d * apq + zero, out=t)  # -0.0 + 0.0 is +0.0: a tie keeps t >= 0
+            np.negative(t, out=angle[3])
+            c = np.hypot(1.0, t)
+            np.divide(1.0, c, out=c)
+            np.multiply(angle, c, out=turn)
+            rot.put(idx, turn)
+            np.matmul(rot_t, a, out=tmp)
+            np.matmul(tmp, rot, out=a)
+            np.matmul(v, rot, out=tmp)
+            v, tmp = tmp, v
+            rot.put(idx, identity)
+            # the closed forms a_pp - t a_pq and a_qq - (-t) a_pq cut roundoff drift; fix's last rows are zeros
+            np.subtract(old[:2], shift * apq, out=closed)
+            a.put(idx, fix)
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:

@@ -12,7 +12,7 @@ equivalent survives, when one marked equivalent is killed, or when a row's old
 text no longer occurs exactly once in its file. A change to a decision site adds
 its mutants here.
 
-    python tests/mutants.py    # every row, about 3 min on one core
+    python tests/mutants.py    # every row, about 10 min on one core
 """
 
 from __future__ import annotations
@@ -151,11 +151,53 @@ MUTANTS = (
         " verdicts",
     ),
     Mutant(
+        "theorem-14-strict",
+        "theorems 1.4: rho(G) > rho(extremal(n, a)), strictly, past the margin",
+        "src/fracdel/theorems.py",
+        'v["rho"] - v["rho_extremal"] > DEFAULT_MARGIN',
+        'v["rho"] - v["rho_extremal"] >= -DEFAULT_MARGIN',
+    ),
+    Mutant(
+        "theorem-16-strict-extremal",
+        "theorems 1.6: q(G) > q(extremal(n, a)), strictly, past the margin",
+        "src/fracdel/theorems.py",
+        'v["q"] - v["q_extremal"] > DEFAULT_MARGIN',
+        'v["q"] - v["q_extremal"] >= -DEFAULT_MARGIN',
+    ),
+    Mutant(
+        "theorem-16-strict-threshold",
+        "theorems 1.6: q(G) > 2n - 4 + (a + 1) / (n - 1), strictly, past the margin",
+        "src/fracdel/theorems.py",
+        'v["q"] - v["q_threshold"] > DEFAULT_MARGIN',
+        'v["q"] - v["q_threshold"] >= -DEFAULT_MARGIN',
+    ),
+    Mutant(
         "theorem-16-threshold",
         "theorems 1.6: the threshold 2n - 4 + (a + 1) / (n - 1)",
         "src/fracdel/theorems.py",
         '"q_threshold": 2 * n - 4 + (a + 1) / (n - 1) if n >= 2 else None,',
         '"q_threshold": 2 * n - 4 + a / (n - 1) if n >= 2 else None,',
+    ),
+    Mutant(
+        "jacobi-tie-sign",
+        "spectral._jacobi: at a tie a_pp = a_qq the angle is t = +1, whatever the sign of a_pq",
+        "src/fracdel/spectral.py",
+        "np.copysign(two / den, d * apq + zero, out=t)",
+        "np.copysign(two / den, d * apq, out=t)",
+    ),
+    Mutant(
+        "jacobi-zero-over-zero",
+        "spectral._jacobi: a pair with a_pq = 0 = a_qq - a_pp gets t = 0, not 0/0",
+        "src/fracdel/spectral.py",
+        "            np.maximum(den, least, out=den)\n",
+        "",
+    ),
+    Mutant(
+        "jacobi-absolute-stop",
+        "spectral._jacobi: a matrix may leave at off <= tol * max(1, |M|_F), not only at off <= tol",
+        "src/fracdel/spectral.py",
+        "tol * max(1.0, norm)",
+        "tol * 1.0",
     ),
     Mutant(
         "theorem-18-bound-plus-one",

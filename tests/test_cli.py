@@ -259,6 +259,10 @@ def test_sharpness(capsys):
     assert data["passed"] is True and data["witness"]["T"] == [8]
     code, _, err = run(capsys, "sharpness", "--n", "6", "--a", "1", "--b", "3")
     assert code == 2
+    # extremal(80, 3)'s eigenvalue -1 of multiplicity 77 holds the off-diagonal norm above tol: its solves end on
+    # the scaled stopping rule
+    code, out, _ = run(capsys, "sharpness", "--n", "80", "--a", "3", "--b", "3")
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_sharpness_refuses_a_size_past_the_matrix_guard_before_building_the_graph(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from fracdel import (
     MATRIX_GUARD,
     Graph,
     SharpnessError,
+    SpectralSummary,
     adjacency_matrix,
     complete,
     delete_edge,
@@ -61,6 +62,27 @@ def test_16_threshold_term_binds_above_q_star_at_a_1():
     values = r.hypothesis_values
     assert values["q_extremal"] < values["q"] < values["q_threshold"] == 10 + 2 / 6
     assert r.applicable and not r.hypothesis_met and r.consistent
+
+
+def test_16_is_strict_at_q_star_where_the_threshold_lies_below_it():
+    # at (7, 3) the term 2n - 4 + (a + 1)/(n - 1) = 10.667 lies below q* = 10.772, so only the strict q > q*
+    # keeps the extremal graph, which is not deleted, from meeting 1.6
+    r = eval_theorem(extremal(7, 3), "1.6", 3, 3)
+    values = r.hypothesis_values
+    assert values["q_threshold"] < values["q_extremal"] and abs(values["q"] - values["q_extremal"]) <= 1e-12
+    assert r.applicable and not r.hypothesis_met and r.oracle_verdict is False and r.consistent
+
+
+def test_16_is_strict_at_its_threshold(monkeypatch):
+    # q(G) is an algebraic integer, so no graph here meets the term 10 + 2/6 of (7, 1) exactly: plant q on it.
+    # At the term 1.6 is not met, and just past the margin it is
+    threshold = 2 * 7 - 4 + (1 + 1) / (7 - 1)
+    for q, met in ((threshold, False), (threshold + 2e-9, True)):
+        summary = SpectralSummary(rho=6.0, q=q, residual=0.0)
+        monkeypatch.setattr(fracdel.theorems, "spectral_summary", lambda _, s=summary: s)
+        r = eval_theorem(complete(7), "1.6", 1, 3)
+        assert r.hypothesis_values["q_threshold"] == threshold > r.hypothesis_values["q_extremal"]
+        assert r.hypothesis_met is met
 
 
 def test_report_on_cycle():
@@ -255,7 +277,13 @@ def test_verify_sharpness_runs_each_solver_once(monkeypatch):
     assert sorted(calls) == ["is_fractional_ab_deleted", "spectral_summary"]
 
 
-@pytest.mark.parametrize("n, a", [(7, 1), (9, 2), (12, 3), (20, 5), (31, 7), (45, 10), (60, 1), (60, 20), (60, 58)])
+# from (50, 5) on: the eigenvalue -1 of multiplicity n - 3 holds the off-diagonal norm at 1e-10 to 1e-8, so these
+# solves end on the scaled stopping rule, and (60, 2) and (70, 3) need t = +1 at a tie a_pp = a_qq
+@pytest.mark.parametrize(
+    "n, a",
+    [(7, 1), (9, 2), (12, 3), (20, 5), (31, 7), (45, 10), (60, 1), (60, 20), (60, 58)]
+    + [(50, 5), (60, 2), (70, 3), (80, 3), (100, 2)],
+)
 def test_extremal_spectra_match_the_matrix_solve(n, a):
     summary = spectral_summary(extremal(n, a))
     rho_star, q_star = extremal_spectra(n, a)
