@@ -3,9 +3,9 @@
 ``_jacobi`` solves a (k, n, n) stack of symmetric matrices together. It
 sweeps in the parallel (round-robin) order, and each round applies its
 disjoint rotations to all k matrices at once, as one batched product with
-orthogonal matrices. A matrix leaves the stack once its top eigenpair is
-certified: its off-diagonal norm is <= tol, or it is <= tol * max(1, |M|_F)
-with the top diagonal entry isolated (Weyl) and the pair's residual <= tol.
+orthogonal matrices. A matrix leaves the stack once its top eigenvalue is
+certified: by a Kato-Temple interval around the Rayleigh quotient of its top
+column, or, at a repeated top eigenvalue, by an off-diagonal norm <= tol.
 ``spectral_summary``, the one way to rho and q, hands it A and D + A as one
 stack of two at the fixed tolerance ``DEFAULT_TOL``.
 
@@ -61,10 +61,11 @@ class ConvergenceError(RuntimeError):
 class SpectralSummary:
     """Adjacency spectral radius and signless Laplacian radius of one graph.
 
-    ``residual`` is the larger of the two eigenpair residuals |Mx - λx|_inf
-    against the input matrix; it is guaranteed <= ``DEFAULT_TOL``. Each pair is
-    the top one: its matrix left the solver with an off-diagonal norm <= tol,
-    or with its top diagonal entry more than twice that norm above the rest.
+    ``residual`` is the larger of the two certified error bounds of rho and q;
+    it is guaranteed <= ``DEFAULT_TOL``. Where the top eigenvalue is separated
+    from the rest, it lies in [value, value + bound] (Kato-Temple); at a
+    repeated top one, in value +- bound. Each value itself is rounded, by a
+    few ulps.
     """
 
     rho: float
@@ -146,7 +147,7 @@ def _schedule(n: int, k: int) -> list[np.ndarray]:
 
 
 def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, float]]:
-    """(top eigenvalue, residual) per matrix of a (k, n, n) stack of symmetric matrices, by parallel-ordered Jacobi.
+    """(top eigenvalue, error bound) per matrix of a (k, n, n) stack of symmetric matrices, by parallel-ordered Jacobi.
 
     All k matrices sweep together: each round's angles are (k, h) arrays for
     its h pairs, and its rotations are applied as one batched product,
@@ -154,24 +155,24 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
     from the closed forms, in one put; a pair with a_pq = 0 has t = 0, so its
     closed forms write back the values already there.
 
-    At the start of each sweep, a matrix M of the stack, with off-diagonal
-    norm ``off``, leaves it when either holds; its top eigenpair (the largest
-    diagonal entry and its column of the rotations) is read off:
-    - off <= tol. Its residual |Mx - lambda x|_inf against m must then be
-      <= tol, else ConvergenceError.
-    - off <= tol * max(1, |M|_F), the pair's residual is <= tol, and the top
-      diagonal entry exceeds every other by more than 2 * off. By Weyl's
-      inequality only the top eigenvalue lies within off of that entry, so the
-      pair is the top one, and its residual bounds its error. Roundoff grows
-      with |M|, and on a large multiple eigenvalue off can stall above tol.
+    At the start of each sweep, take a matrix of the stack with input M,
+    off-diagonal norm ``off``, largest diagonal entry d1 and column x of the
+    rotations under it. alpha = (second-largest diagonal entry) + off bounds
+    every eigenvalue but the top one (Weyl). Where d1 > alpha or off <= tol,
+    x is checked against M: theta = x'Mx / x'x and r = Mx - theta x. If
+    theta > alpha, the top eigenvalue lies in [theta, theta + width] with
+    width = |r|^2 / (x'x (theta - alpha)) (Kato-Temple), and the matrix leaves
+    with (theta, width) once width <= min(tol, 2^-52 max(1, |theta|)). A
+    repeated top eigenvalue leaves no such gap; there the matrix leaves at
+    off <= tol, with (d1, max(off, |Mx - d1 x|_2 / |x|_2)): by Weyl d1 lies
+    within off of the top eigenvalue, and the residual checks the pair against
+    M. A residual above tol raises ConvergenceError.
     A matrix still in the stack after max_sweeps sweeps raises
     ConvergenceError with the largest off-diagonal norm left.
     """
     import numpy as np
     k, n, _ = m.shape
     rounds = _schedule(n, k)  # built before the n x n buffers: a lower peak
-    flat = m.reshape(k, -1)
-    scales = [tol * max(1.0, norm) for norm in np.sqrt(np.vecdot(flat, flat)).tolist()]  # |M|_F of each input
     a = m + m.transpose(0, 2, 1)
     a /= 2.0
     v = np.tile(np.eye(n), (k, 1, 1))
@@ -186,17 +187,29 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
     left = list(range(k))  # the input index of each matrix still in the stack
     for sweep in range(max_sweeps + 1):  # the pass at sweep == max_sweeps returns or raises
         offs = _off_norms(a, tmp)
+        diags = a.diagonal(axis1=1, axis2=2).tolist()
         stay = []
-        for j, off in enumerate(offs):
-            if off <= scales[left[j]]:  # read its top pair off and check it against the input
-                diag = a[j].diagonal()
-                top = int(np.argmax(diag))
-                value, vector = float(diag[top]), v[j, :, top].copy()
-                residual = float(np.max(np.abs(m[left[j]] @ vector - value * vector)))
-                if off <= tol and not residual <= tol:  # a NaN residual fails too
-                    raise ConvergenceError("eigenpair residual exceeds tol", residual)
-                if off <= tol or residual <= tol and value - np.delete(diag, top).max() > 2.0 * off:
-                    results[left[j]] = value, residual
+        for j, (off, diag) in enumerate(zip(offs, diags)):
+            d1 = max(diag)
+            top = diag.index(d1)
+            alpha = max(diag[:top] + diag[top + 1 :], default=-math.inf) + off  # Weyl: no other eigenvalue is above
+            if d1 > alpha or off <= tol:  # the input-side product, where a certificate can come of it
+                x = v[j, :, top]
+                mx = m[left[j]] @ x
+                xx = float(x @ x)
+                theta = float(x @ mx) / xx
+                if theta > alpha:  # Kato-Temple: the top eigenvalue lies in [theta, theta + width]
+                    r = mx - theta * x
+                    width = float(r @ r) / (xx * (theta - alpha))
+                    if width <= min(tol, 2.0**-52 * max(1.0, abs(theta))):
+                        results[left[j]] = theta, width
+                        continue
+                if off <= tol:  # no gap to certify across, as at a repeated top eigenvalue
+                    r = mx - d1 * x
+                    residual = math.sqrt(float(r @ r) / xx)
+                    if not residual <= tol:  # a NaN residual fails too
+                        raise ConvergenceError("eigenpair residual exceeds tol", residual)
+                    results[left[j]] = d1, max(off, residual)
                     continue
             stay.append(j)  # a NaN norm stays, to run out of sweeps
         if not stay:

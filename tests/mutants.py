@@ -12,7 +12,7 @@ equivalent survives, when one marked equivalent is killed, or when a row's old
 text no longer occurs exactly once in its file. A change to a decision site adds
 its mutants here.
 
-    python tests/mutants.py    # every row, about 10 min on one core
+    python tests/mutants.py    # every row, about 15 min on one core
 """
 
 from __future__ import annotations
@@ -120,6 +120,41 @@ MUTANTS = (
         "    if any(row & tmask for row in t_rows):\n        return 1\n",
     ),
     Mutant(
+        "epsilon-zero-as-one",
+        "oracle._epsilon: an independent T with no neighbour outside S makes epsilon 0",
+        "src/fracdel/oracle.py",
+        "return 1 if any(row & ~smask for row in t_rows) else 0",
+        "return 1 if any(row & ~smask for row in t_rows) else 1",
+    ),
+    Mutant(
+        "epsilon-neighbour-in-s",
+        "oracle._epsilon: only a neighbour of T outside S makes epsilon 1",
+        "src/fracdel/oracle.py",
+        "return 1 if any(row & ~smask for row in t_rows) else 0",
+        "return 1 if any(row for row in t_rows) else 0",
+    ),
+    Mutant(
+        "greedy-room-before-below",
+        "oracle._greedy_start: a pick takes right copies still below g before those with room only",
+        "src/fracdel/oracle.py",
+        "pick = free & below or free & room or rest & below or rest & room",
+        "pick = free & room or rest & room",
+    ),
+    Mutant(
+        "greedy-highest-bit",
+        "oracle._greedy_start: a pick takes the lowest-numbered neighbour first",
+        "src/fracdel/oracle.py",
+        "            low = pick & -pick\n",
+        "            low = 1 << pick.bit_length() - 1\n",
+    ),
+    Mutant(
+        "greedy-no-avoid",
+        "oracle._greedy_start: F1's start takes arcs off F0's support first",
+        "src/fracdel/oracle.py",
+        "free = rest & ~avoid[u] if avoid else rest",
+        "free = rest",
+    ),
+    Mutant(
         "repair-no-right-raise",
         "oracle._repaired: a repair raises u' and v' again on the right side",
         "src/fracdel/oracle.py",
@@ -193,11 +228,32 @@ MUTANTS = (
         "",
     ),
     Mutant(
-        "jacobi-absolute-stop",
-        "spectral._jacobi: a matrix may leave at off <= tol * max(1, |M|_F), not only at off <= tol",
+        "jacobi-kato-temple-gap",
+        "spectral._jacobi: the Kato-Temple interval needs theta strictly above the bound alpha on the rest",
         "src/fracdel/spectral.py",
-        "tol * max(1.0, norm)",
-        "tol * 1.0",
+        "if theta > alpha:",
+        "if theta >= alpha:",
+    ),
+    Mutant(
+        "jacobi-weyl-off",
+        "spectral._jacobi: alpha, the bound on every eigenvalue but the top one, is the second diagonal entry plus off",
+        "src/fracdel/spectral.py",
+        "default=-math.inf) + off",
+        "default=-math.inf)",
+    ),
+    Mutant(
+        "jacobi-relative-width",
+        "spectral._jacobi: the interval's width is held to 2^-52 max(1, |theta|), relative to the value",
+        "src/fracdel/spectral.py",
+        "2.0**-52 * max(1.0, abs(theta))",
+        "2.0**-52 * 1.0",
+    ),
+    Mutant(
+        "jacobi-value-from-diagonal",
+        "spectral._jacobi: a certified matrix leaves with the Rayleigh quotient theta, not its top diagonal entry",
+        "src/fracdel/spectral.py",
+        "results[left[j]] = theta, width",
+        "results[left[j]] = d1, width",
     ),
     Mutant(
         "theorem-18-bound-plus-one",

@@ -260,7 +260,7 @@ def test_sharpness(capsys):
     code, _, err = run(capsys, "sharpness", "--n", "6", "--a", "1", "--b", "3")
     assert code == 2
     # extremal(80, 3)'s eigenvalue -1 of multiplicity 77 holds the off-diagonal norm above tol: its solves end on
-    # the scaled stopping rule
+    # the top pairs' Kato-Temple intervals
     code, out, _ = run(capsys, "sharpness", "--n", "80", "--a", "3", "--b", "3")
     assert code == 0 and json.loads(out)["passed"] is True
 

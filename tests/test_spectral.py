@@ -19,7 +19,9 @@ from fracdel import (
     delete_vertices,
     disjoint_union,
     extremal,
+    extremal_spectra,
     feng_yu_bound,
+    graphs_with_min_edges,
     hsf_bound,
     hsf_bound_at,
     join,
@@ -34,7 +36,7 @@ from helpers import count_solves, cycle_graph, gnp, path_graph, random_connected
 
 
 def _solo(m, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
-    """(top eigenvalue, residual) of one symmetric matrix: the kernel on a stack of one."""
+    """(top eigenvalue, error bound) of one symmetric matrix: the kernel on a stack of one."""
     return _jacobi(np.asarray(m, dtype=float)[None], tol, max_sweeps)[0]
 
 
@@ -192,6 +194,80 @@ def test_stacked_matrices_leave_the_stack_as_they_converge():
     with pytest.raises(ConvergenceError) as stacked:  # the second matrix needs more than one sweep
         _jacobi(np.stack((diagonal, planted)), DEFAULT_TOL, 1)
     assert stacked.value.residual == solo.value.residual > 0
+
+
+def _top_in_long_double(stack):
+    """The top eigenvalue of each symmetric matrix of the stack, as eigh's Rayleigh quotient in long double,
+    with the rounding of that quotient: about n long-double epsilons, relative."""
+    vectors = np.linalg.eigh(stack)[1][..., -1].astype(np.longdouble)
+    quotient = np.einsum("ki,kij,kj->k", vectors, stack.astype(np.longdouble), vectors)
+    quotient /= np.einsum("ki,ki->k", vectors, vectors)
+    return quotient, stack.shape[-1] * np.finfo(np.longdouble).eps * np.abs(quotient)
+
+
+def _certified_radii_corpus():
+    """Graphs whose rho and q must lie in their certified intervals: simple tops and repeated ones."""
+    rng = random.Random(20260816)  # the benchmark's seeded G(32, 1/2)
+    yield from graphs_with_min_edges(7, 17)
+    yield from (gnp(32, 0.5, rng) for _ in range(120))
+    yield from (extremal(n, a) for n in range(40, 101, 5) for a in (1, 2, 3, 5))
+    yield from (disjoint_union(complete(n), complete(n)) for n in range(10, 41))
+    yield from (disjoint_union(extremal(n, 2), extremal(n, 2)) for n in (20, 40, 60))
+    yield disjoint_union(disjoint_union(cycle_graph(9), cycle_graph(9)), cycle_graph(9))
+    yield from (Graph(1), Graph(2), complete(2))
+
+
+def test_each_top_eigenvalue_lies_in_its_certified_interval():
+    # rho and q come with an error bound: the top eigenvalue lies in [value, value + bound] (Kato-Temple, from the
+    # Rayleigh quotient) or in value +- bound (the off <= tol exit at a repeated top). The value is rounded: a sum of
+    # n products, off by a few ulps, growing about like sqrt(n). Read off the rotated diagonal in its place, the value
+    # is off by up to 5 ulps on the dense-7 graphs and 10 on the G(32, 1/2)
+    by_n = {}
+    for g in _certified_radii_corpus():
+        by_n.setdefault(g.n, []).append(g)
+    for n, graphs in by_n.items():
+        stacks = [np.stack((adjacency_matrix(g), signless_laplacian_matrix(g))) for g in graphs]
+        want, rounding = _top_in_long_double(np.concatenate(stacks))
+        got = [pair for stack in stacks for pair in _jacobi(stack, DEFAULT_TOL, MAX_SWEEPS)]
+        for (value, bound), top, slack in zip(got, want, rounding):
+            assert 0 <= bound <= DEFAULT_TOL, (n, value, bound)
+            allowed = (3 + math.sqrt(n) / 2) * np.spacing(abs(value)) + slack
+            assert value - allowed - bound <= top <= value + bound + allowed, (n, value, bound, float(top - value))
+
+
+def test_a_top_diagonal_entry_below_the_weyl_bound_is_not_certified():
+    # e_0 is an exact eigenvector for 5 and tops the diagonal, but 10 is the top eigenvalue: the second diagonal
+    # entry plus the off-diagonal norm bounds every eigenvalue but the top one, and lies above 5
+    m = np.zeros((3, 3))
+    m[0, 0], m[1:, 1:] = 5.0, [[4.0, 6.0], [6.0, 4.0]]
+    value, bound = _solo(m)
+    assert abs(value - 10.0) <= 1e-14 and bound <= 1e-15
+
+
+def test_the_certificate_is_relative_to_the_top_eigenvalue():
+    # scaling by a power of two is exact, and the stopping rule scales with it: 2^10 M leaves after the sweeps M
+    # leaves after, with its value and bound exactly 2^10 times M's
+    rng = random.Random(61)
+    for n in (7, 12, 20, 32):
+        g = gnp(n, 0.5, rng)
+        for m in (adjacency_matrix(g), signless_laplacian_matrix(g)):
+            value, bound = _solo(m)
+            assert _solo(1024.0 * m) == (1024.0 * value, 1024.0 * bound), n
+
+
+def test_a_separated_top_pair_leaves_once_certified():
+    # the eigenvalue -1 of multiplicity 57 holds the off-diagonal norm of extremal(60, 2)'s Q at 1e-10 to 1e-8 for
+    # some 20 sweeps, but its top pair is certified after 3; a rule on the whole norm sweeps on to 22
+    q = signless_laplacian_matrix(extremal(60, 2))
+    value, bound = _solo(q, max_sweeps=5)
+    assert abs(value - extremal_spectra(60, 2)[1]) <= 1e-12 and bound <= DEFAULT_TOL
+
+
+def test_a_repeated_top_converges_at_the_tie_angle():
+    # two copies of extremal(40, 2) have their top eigenvalue twice, so A leaves on off <= tol, after 15 sweeps; with
+    # t = sign(a_pq) in place of t = +1 at a tie a_pp = a_qq, it takes 22
+    value, bound = _solo(adjacency_matrix(disjoint_union(extremal(40, 2), extremal(40, 2))), max_sweeps=18)
+    assert abs(value - extremal_spectra(40, 2)[0]) <= 1e-9 and bound <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize("n", range(2, 13))

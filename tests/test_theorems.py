@@ -278,7 +278,7 @@ def test_verify_sharpness_runs_each_solver_once(monkeypatch):
 
 
 # from (50, 5) on: the eigenvalue -1 of multiplicity n - 3 holds the off-diagonal norm at 1e-10 to 1e-8, so these
-# solves end on the scaled stopping rule, and (60, 2) and (70, 3) need t = +1 at a tie a_pp = a_qq
+# solves end on the top pair's Kato-Temple interval; a stopping rule on the whole off-diagonal norm stalled there
 @pytest.mark.parametrize(
     "n, a",
     [(7, 1), (9, 2), (12, 3), (20, 5), (31, 7), (45, 10), (60, 1), (60, 20), (60, 58)]
