@@ -201,6 +201,16 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph._from_rows(g.n + h.n, rows)
 
 
+def _extremal_size(n: int, a: int) -> tuple[int, int]:
+    """n and a of extremal(n, a) as Python ints; TypeError on a float, ValueError unless a >= 1 and n >= a + 2."""
+    n, a = operator.index(n), operator.index(a)  # numpy's integers too; a float raises
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
+    if n < a + 2:
+        raise ValueError(f"need n >= a+2 for the construction, got n={n}, a={a}")
+    return n, a
+
+
 def extremal(n: int, a: int) -> Graph:
     """Tight example for the sufficient conditions: K_a joined to (K_{n-a-1} ∪ K_1).
 
@@ -209,11 +219,7 @@ def extremal(n: int, a: int) -> Graph:
     e = C(n-1,2) + a, and the minimum degree is a (attained at vertex n-1;
     for n >= a+3 vertex n-1 is the unique minimum-degree vertex).
     """
-    n, a = operator.index(n), operator.index(a)  # numpy's integers too; a float raises
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    if n < a + 2:
-        raise ValueError(f"need n >= a+2 for the construction, got n={n}, a={a}")
+    n, a = _extremal_size(n, a)
     base = complete(n - 1)
     hub = (1 << a) - 1
     rows = tuple(r | (1 << (n - 1)) if v < a else r for v, r in enumerate(base._rows))

@@ -3,9 +3,10 @@
 ``_jacobi`` solves a (k, n, n) stack of symmetric matrices together. It
 sweeps in the parallel (round-robin) order, and each round applies its
 disjoint rotations to all k matrices at once, as one batched product with
-orthogonal matrices. A matrix leaves the stack once its top eigenvalue is
-certified: by a Kato-Temple interval around the Rayleigh quotient of its top
-column, or, at a repeated top eigenvalue, by an off-diagonal norm <= tol.
+orthogonal matrices. Each matrix's top eigenvalue is certified against its
+input: by a Kato-Temple interval around the Rayleigh quotient of its top
+column, or, at a repeated top eigenvalue, by an off-diagonal norm <= tol. A
+certified matrix keeps rotating until the whole stack is certified.
 ``spectral_summary``, the one way to rho and q, hands it A and D + A as one
 stack of two at the fixed tolerance ``DEFAULT_TOL``.
 
@@ -138,8 +139,7 @@ def _schedule(n: int, k: int) -> list[np.ndarray]:
     """The rounds of ``_round_robin(n)`` as flat indices into a flattened (k, n, n) stack.
 
     A round's array has shape (4, k, h) for its h pairs: [:, j] holds the flat
-    positions of their (p, p), (q, q), (p, q) and (q, p) entries in matrix j,
-    so [:, :j] indexes a stack of the first j matrices.
+    positions of their (p, p), (q, q), (p, q) and (q, p) entries in matrix j.
     """
     import numpy as np
     offsets, pairs = n * n * np.arange(k)[:, None], zip(*_round_robin(n))
@@ -151,9 +151,7 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
 
     All k matrices sweep together: each round's angles are (k, h) arrays for
     its h pairs, and its rotations are applied as one batched product,
-    a = rot^T a rot. Then every pair gets a_pq = a_qp = 0 and its diagonals
-    from the closed forms, in one put; a pair with a_pq = 0 has t = 0, so its
-    closed forms write back the values already there.
+    a = rot^T a rot, and accumulated in v = v rot.
 
     At the start of each sweep, take a matrix of the stack with input M,
     off-diagonal norm ``off``, largest diagonal entry d1 and column x of the
@@ -161,14 +159,16 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
     every eigenvalue but the top one (Weyl). Where d1 > alpha or off <= tol,
     x is checked against M: theta = x'Mx / x'x and r = Mx - theta x. If
     theta > alpha, the top eigenvalue lies in [theta, theta + width] with
-    width = |r|^2 / (x'x (theta - alpha)) (Kato-Temple), and the matrix leaves
-    with (theta, width) once width <= min(tol, 2^-52 max(1, |theta|)). A
-    repeated top eigenvalue leaves no such gap; there the matrix leaves at
-    off <= tol, with (d1, max(off, |Mx - d1 x|_2 / |x|_2)): by Weyl d1 lies
+    width = |r|^2 / (x'x (theta - alpha)) (Kato-Temple), and the matrix's
+    result is (theta, width) once width <= min(tol, 2^-52 max(1, |theta|)). A
+    repeated top eigenvalue leaves no such gap; there the result is taken at
+    off <= tol, as (d1, max(off, |Mx - d1 x|_2 / |x|_2)): by Weyl d1 lies
     within off of the top eigenvalue, and the residual checks the pair against
-    M. A residual above tol raises ConvergenceError.
-    A matrix still in the stack after max_sweeps sweeps raises
-    ConvergenceError with the largest off-diagonal norm left.
+    M. A residual above tol raises ConvergenceError. A matrix's result is
+    taken once: the matrix keeps rotating with the stack, and later checks
+    skip it. The solve returns once every matrix has its result; a matrix
+    without one after max_sweeps sweeps raises ConvergenceError with the
+    largest off-diagonal norm left.
     """
     import numpy as np
     k, n, _ = m.shape
@@ -181,64 +181,52 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
     h = n // 2
     identity = np.repeat([1.0, 0.0], 2 * k * h).reshape(4, k, h)
     angle = identity.copy()  # rows 1, 1, t, -t; times c they are a round's c, c, s, -s
-    turn, fix = np.empty((4, k, h)), np.zeros((4, k, h))  # the rotations' entries; the closed forms and zeros
-    least, zero = np.finfo(float).smallest_subnormal, np.float64(0.0)  # a ufunc adds a float64 faster than a float
+    t, turn = angle[2], np.empty((4, k, h))  # turn holds the rotations' entries
+    least = np.finfo(float).smallest_subnormal
     results: list = [None] * k
-    left = list(range(k))  # the input index of each matrix still in the stack
     for sweep in range(max_sweeps + 1):  # the pass at sweep == max_sweeps returns or raises
         offs = _off_norms(a, tmp)
         diags = a.diagonal(axis1=1, axis2=2).tolist()
         stay = []
         for j, (off, diag) in enumerate(zip(offs, diags)):
+            if results[j] is not None:  # taken at an earlier check
+                continue
             d1 = max(diag)
             top = diag.index(d1)
             alpha = max(diag[:top] + diag[top + 1 :], default=-math.inf) + off  # Weyl: no other eigenvalue is above
             if d1 > alpha or off <= tol:  # the input-side product, where a certificate can come of it
                 x = v[j, :, top]
-                mx = m[left[j]] @ x
+                mx = m[j] @ x
                 xx = float(x @ x)
                 theta = float(x @ mx) / xx
                 if theta > alpha:  # Kato-Temple: the top eigenvalue lies in [theta, theta + width]
                     r = mx - theta * x
                     width = float(r @ r) / (xx * (theta - alpha))
                     if width <= min(tol, 2.0**-52 * max(1.0, abs(theta))):
-                        results[left[j]] = theta, width
+                        results[j] = theta, width
                         continue
                 if off <= tol:  # no gap to certify across, as at a repeated top eigenvalue
                     r = mx - d1 * x
                     residual = math.sqrt(float(r @ r) / xx)
                     if not residual <= tol:  # a NaN residual fails too
                         raise ConvergenceError("eigenpair residual exceeds tol", residual)
-                    results[left[j]] = d1, max(off, residual)
+                    results[j] = d1, max(off, residual)
                     continue
             stay.append(j)  # a NaN norm stays, to run out of sweeps
         if not stay:
             return results
         if sweep == max_sweeps:
             raise ConvergenceError(f"no convergence within {max_sweeps} sweeps", max(offs[j] for j in stay))
-        if len(stay) < len(left):  # the converged leave the stack, which is compacted in place
-            for to, j in enumerate(stay):
-                a[to], v[to] = a[j], v[j]
-            kept = len(stay)
-            a, v, rot, tmp = a[:kept], v[:kept], rot[:kept], tmp[:kept]
-            rot_t = rot.transpose(0, 2, 1)
-            identity, angle, turn, fix = identity[:, :kept], angle[:, :kept], turn[:, :kept], fix[:, :kept]
-            rounds = [idx[:, :kept] for idx in rounds]
-            left = [left[j] for j in stay]
-        t, shift, closed = angle[2], angle[2:], fix[:2]
         for idx in rounds:
-            old = a.take(idx)
-            app, aqq, apq = old[0], old[1], old[2]
-            if not np.count_nonzero(apq):
-                continue
-            # the small angle t = 2a_pq / (|d| + hypot(d, 2a_pq)), d = a_qq - a_pp, signed as d * a_pq and
-            # +1 at a tie d = 0; a zero denominator (a_pq = 0 = d) becomes the least subnormal, so t = 0
+            # the small angle t = 2a_pq / (|d| + hypot(d, 2a_pq)), d = a_qq - a_pp, signed as d * a_pq; a zero
+            # denominator (a_pq = 0 = d) becomes the least subnormal, so t = 0
+            app, aqq, apq = a.take(idx[:3])
             d = aqq - app
             two = apq + apq
             den = np.hypot(d, two)
             den += np.abs(d)
             np.maximum(den, least, out=den)
-            np.copysign(two / den, d * apq + zero, out=t)  # -0.0 + 0.0 is +0.0: a tie keeps t >= 0
+            np.copysign(two / den, d * apq, out=t)
             np.negative(t, out=angle[3])
             c = np.hypot(1.0, t)
             np.divide(1.0, c, out=c)
@@ -249,9 +237,6 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
             np.matmul(v, rot, out=tmp)
             v, tmp = tmp, v
             rot.put(idx, identity)
-            # the closed forms a_pp - t a_pq and a_qq - (-t) a_pq cut roundoff drift; fix's last rows are zeros
-            np.subtract(old[:2], shift * apq, out=closed)
-            a.put(idx, fix)
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:

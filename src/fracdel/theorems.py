@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import ClassVar, Iterable, Iterator
 
-from .graph import Graph, Graph6Error, _vertex_count, complete, extremal, is_connected, parse_graph6
+from .graph import Graph, Graph6Error, _extremal_size, _vertex_count, complete, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
 from .spectral import ConvergenceError, _check_graph6_guard, _check_matrix_guard, spectral_summary
 
@@ -79,14 +79,17 @@ class TheoremReport:
         }
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)  # typed: 7.0 is not the cached 7, so it is refused as extremal refuses it
 def extremal_spectra(n: int, a: int) -> tuple[float, float]:
-    """(rho, q) of extremal(n, a), for n >= a + 2, from its 3x3 equitable quotients; kept per (n, a).
+    """(rho, q) of extremal(n, a) from its 3x3 equitable quotients; kept per (n, a).
 
     The cells are the K_a hub, the K_{n-a-1} clique and the low vertex. Both
     quotients are symmetrised with the square roots of the cell sizes, so
-    their top eigenvalues come from one symmetric solve of the two.
+    their top eigenvalues come from one symmetric solve of the two. (n, a)
+    is refused as ``extremal`` refuses it: TypeError on a float, ValueError
+    unless a >= 1 and n >= a + 2.
     """
+    n, a = _extremal_size(n, a)
     import numpy as np
     c, s = math.sqrt(a * (n - a - 1)), math.sqrt(a)
     adj = np.array([[a - 1, c, s], [c, n - a - 2, 0], [s, 0, 0]])

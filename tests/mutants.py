@@ -12,7 +12,7 @@ equivalent survives, when one marked equivalent is killed, or when a row's old
 text no longer occurs exactly once in its file. A change to a decision site adds
 its mutants here.
 
-    python tests/mutants.py    # every row, about 15 min on one core
+    python tests/mutants.py    # every row, about 12 min on one core
 """
 
 from __future__ import annotations
@@ -214,13 +214,6 @@ MUTANTS = (
         '"q_threshold": 2 * n - 4 + a / (n - 1) if n >= 2 else None,',
     ),
     Mutant(
-        "jacobi-tie-sign",
-        "spectral._jacobi: at a tie a_pp = a_qq the angle is t = +1, whatever the sign of a_pq",
-        "src/fracdel/spectral.py",
-        "np.copysign(two / den, d * apq + zero, out=t)",
-        "np.copysign(two / den, d * apq, out=t)",
-    ),
-    Mutant(
         "jacobi-zero-over-zero",
         "spectral._jacobi: a pair with a_pq = 0 = a_qq - a_pp gets t = 0, not 0/0",
         "src/fracdel/spectral.py",
@@ -250,10 +243,17 @@ MUTANTS = (
     ),
     Mutant(
         "jacobi-value-from-diagonal",
-        "spectral._jacobi: a certified matrix leaves with the Rayleigh quotient theta, not its top diagonal entry",
+        "spectral._jacobi: a certified matrix's result is the Rayleigh quotient theta, not its top diagonal entry",
         "src/fracdel/spectral.py",
-        "results[left[j]] = theta, width",
-        "results[left[j]] = d1, width",
+        "results[j] = theta, width",
+        "results[j] = d1, width",
+    ),
+    Mutant(
+        "jacobi-result-taken-once",
+        "spectral._jacobi: a matrix's result is taken at its first certificate; later checks skip it",
+        "src/fracdel/spectral.py",
+        "            if results[j] is not None:  # taken at an earlier check\n                continue\n",
+        "",
     ),
     Mutant(
         "theorem-18-bound-plus-one",

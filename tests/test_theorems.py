@@ -277,8 +277,8 @@ def test_verify_sharpness_runs_each_solver_once(monkeypatch):
     assert sorted(calls) == ["is_fractional_ab_deleted", "spectral_summary"]
 
 
-# from (50, 5) on: the eigenvalue -1 of multiplicity n - 3 holds the off-diagonal norm at 1e-10 to 1e-8, so these
-# solves end on the top pair's Kato-Temple interval; a stopping rule on the whole off-diagonal norm stalled there
+# from (50, 5) on: the eigenvalue -1 of multiplicity n - 3 keeps the off-diagonal norm above tol for 5 to 8 sweeps
+# after the top pair is certified, so these solves end on its Kato-Temple interval
 @pytest.mark.parametrize(
     "n, a",
     [(7, 1), (9, 2), (12, 3), (20, 5), (31, 7), (45, 10), (60, 1), (60, 20), (60, 58)]
@@ -289,6 +289,26 @@ def test_extremal_spectra_match_the_matrix_solve(n, a):
     rho_star, q_star = extremal_spectra(n, a)
     assert abs(summary.rho - rho_star) <= 1e-12
     assert abs(summary.q - q_star) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, a, error, message",
+    [
+        (7, 0, ValueError, "a must be >= 1"),
+        (7, -1, ValueError, "a must be >= 1"),
+        (3, 5, ValueError, "need n >= a\\+2"),
+        (7.5, 1, TypeError, "cannot be interpreted as an integer"),
+        (7.0, 1, TypeError, "cannot be interpreted as an integer"),
+        (7, 1.0, TypeError, "cannot be interpreted as an integer"),
+    ],
+)
+def test_extremal_spectra_refuses_what_extremal_refuses(n, a, error, message):
+    # with (7, 1) cached, 7.0 and 1.0 are still refused: the cache tells a float from an int
+    rho_star, _ = extremal_spectra(7, 1)
+    for build in (extremal, extremal_spectra):
+        with pytest.raises(error, match=message):
+            build(n, a)
+    assert extremal_spectra(np.int64(7), np.int64(1))[0] == rho_star
 
 
 def test_extremal_spectra_solved_once_per_n_and_a():
