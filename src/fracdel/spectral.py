@@ -1,14 +1,11 @@
-"""Dense symmetric eigensolver (Jacobi) and spectral bounds for graphs.
+"""Spectral radii of graphs, by a dense symmetric eigensolver, and the published bounds on them.
 
-``_jacobi`` solves a (k, n, n) stack of symmetric matrices together. It
-sweeps in the parallel (round-robin) order, and each round applies its
-disjoint rotations to all k matrices at once, as one batched product with
-orthogonal matrices. Each matrix's top eigenvalue is certified against its
-input: by a Kato-Temple interval around the Rayleigh quotient of its top
-column, or, at a repeated top eigenvalue, by an off-diagonal norm <= tol. A
-certified matrix keeps rotating until the whole stack is certified.
-``spectral_summary``, the one way to rho and q, hands it A and D + A as one
-stack of two at the fixed tolerance ``DEFAULT_TOL``.
+``spectral_summary``, the one way to rho and q, hands A and D + A as one
+stack of two to ``_top_pairs``, the solver seam. ``_top_pairs`` returns the
+top eigenvalue of each matrix of a stack with a certified error bound <=
+``DEFAULT_TOL``, and raises ``ConvergenceError`` where it cannot. Its one
+implementation is parallel-ordered Jacobi, rotating the whole stack at once;
+each value and bound is read off the input matrix.
 
 ``spectral_summary`` solves rho and q of a graph once per Graph object: the
 result is kept on the graph itself and returned by later calls, so
@@ -62,11 +59,9 @@ class ConvergenceError(RuntimeError):
 class SpectralSummary:
     """Adjacency spectral radius and signless Laplacian radius of one graph.
 
-    ``residual`` is the larger of the two certified error bounds of rho and q;
-    it is guaranteed <= ``DEFAULT_TOL``. Where the top eigenvalue is separated
-    from the rest, it lies in [value, value + bound] (Kato-Temple); at a
-    repeated top one, in value +- bound. Each value itself is rounded, by a
-    few ulps.
+    ``residual`` is the larger of the two certified error bounds of rho and q,
+    <= ``DEFAULT_TOL``: each top eigenvalue lies in [value, value + bound],
+    up to a few ulps of rounding of the value itself.
     """
 
     rho: float
@@ -146,31 +141,35 @@ def _schedule(n: int, k: int) -> list[np.ndarray]:
     return [np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))[:, None] + offsets for p, q in pairs]
 
 
-def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, float]]:
-    """(top eigenvalue, error bound) per matrix of a (k, n, n) stack of symmetric matrices, by parallel-ordered Jacobi.
+def _top_pairs(m: np.ndarray) -> list[tuple[float, float]]:
+    """(top eigenvalue, error bound) per matrix of a (k, n, n) stack of symmetric matrices: the solver seam.
 
-    All k matrices sweep together: each round's angles are (k, h) arrays for
-    its h pairs, and its rotations are applied as one batched product,
-    a = rot^T a rot, and accumulated in v = v rot.
+    The contract: the top eigenvalue lies in [value, value + bound], up to
+    the rounding of value, and the bound is <= ``DEFAULT_TOL``; m is left
+    unchanged; a matrix not certified, non-finite input among them, raises
+    ConvergenceError. ``DEFAULT_TOL`` and ``MAX_SWEEPS`` are read at call time.
 
-    At the start of each sweep, take a matrix of the stack with input M,
-    off-diagonal norm ``off``, largest diagonal entry d1 and column x of the
-    rotations under it. alpha = (second-largest diagonal entry) + off bounds
-    every eigenvalue but the top one (Weyl). Where d1 > alpha or off <= tol,
-    x is checked against M: theta = x'Mx / x'x and r = Mx - theta x. If
-    theta > alpha, the top eigenvalue lies in [theta, theta + width] with
-    width = |r|^2 / (x'x (theta - alpha)) (Kato-Temple), and the matrix's
-    result is (theta, width) once width <= min(tol, 2^-52 max(1, |theta|)). A
-    repeated top eigenvalue leaves no such gap; there the result is taken at
-    off <= tol, as (d1, max(off, |Mx - d1 x|_2 / |x|_2)): by Weyl d1 lies
-    within off of the top eigenvalue, and the residual checks the pair against
-    M. A residual above tol raises ConvergenceError. A matrix's result is
-    taken once: the matrix keeps rotating with the stack, and later checks
-    skip it. The solve returns once every matrix has its result; a matrix
-    without one after max_sweeps sweeps raises ConvergenceError with the
-    largest off-diagonal norm left.
+    The one implementation is parallel-ordered Jacobi: each round's rotations
+    are applied to all k matrices as one batched product, a = rot^T a rot,
+    and accumulated in v = v rot. At the start of each sweep, take a matrix of
+    the stack with input M, off-diagonal norm ``off``, largest diagonal entry
+    d1 and column x of the rotations under it. alpha = (second-largest
+    diagonal entry) + off bounds every eigenvalue but the top one (Weyl).
+    Where d1 > alpha or off <= tol, x is checked against M: theta = x'Mx /
+    x'x and r = Mx - theta x. If theta > alpha, the top eigenvalue lies in
+    [theta, theta + width] with width = |r|^2 / (x'x (theta - alpha))
+    (Kato-Temple), and the result is (theta, width) once width <= min(tol,
+    2^-52 max(1, |theta|)). A repeated top eigenvalue leaves no such gap;
+    there the result is taken at off <= tol, as (theta, max(d1 + off - theta,
+    |r|_2 / |x|_2)): theta never exceeds the top eigenvalue, and by Weyl the
+    top is at most d1 + off. A residual |r|_2 / |x|_2 above tol raises
+    ConvergenceError. A matrix's result is taken once: it keeps rotating
+    with the stack, and later checks skip it. A matrix without a result
+    after ``MAX_SWEEPS`` sweeps raises ConvergenceError with the largest
+    off-diagonal norm left.
     """
     import numpy as np
+    tol, max_sweeps = DEFAULT_TOL, MAX_SWEEPS
     k, n, _ = m.shape
     rounds = _schedule(n, k)  # built before the n x n buffers: a lower peak
     a = m + m.transpose(0, 2, 1)
@@ -199,18 +198,18 @@ def _jacobi(m: np.ndarray, tol: float, max_sweeps: int) -> list[tuple[float, flo
                 mx = m[j] @ x
                 xx = float(x @ x)
                 theta = float(x @ mx) / xx
+                r = mx - theta * x
+                rr = float(r @ r)
                 if theta > alpha:  # Kato-Temple: the top eigenvalue lies in [theta, theta + width]
-                    r = mx - theta * x
-                    width = float(r @ r) / (xx * (theta - alpha))
+                    width = rr / (xx * (theta - alpha))
                     if width <= min(tol, 2.0**-52 * max(1.0, abs(theta))):
                         results[j] = theta, width
                         continue
                 if off <= tol:  # no gap to certify across, as at a repeated top eigenvalue
-                    r = mx - d1 * x
-                    residual = math.sqrt(float(r @ r) / xx)
+                    residual = math.sqrt(rr / xx)
                     if not residual <= tol:  # a NaN residual fails too
                         raise ConvergenceError("eigenpair residual exceeds tol", residual)
-                    results[j] = d1, max(off, residual)
+                    results[j] = theta, max(d1 + off - theta, residual)  # the top lies in [theta, d1 + off]
                     continue
             stay.append(j)  # a NaN norm stays, to run out of sweeps
         if not stay:
@@ -252,7 +251,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     import numpy as np
     stack = _adjacency_stack(g, 2)  # A, and Q = D + A below
     stack[1][np.diag_indices(g.n)] = g.degrees()
-    (rho, ra), (q, rq) = _jacobi(stack, DEFAULT_TOL, MAX_SWEEPS)
+    (rho, ra), (q, rq) = _top_pairs(stack)
     g._spectra = SpectralSummary(rho=rho, q=q, residual=max(ra, rq))
     return g._spectra
 

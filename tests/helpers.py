@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded random graphs, brute-force oracles and a solve counter.
+"""Shared test helpers: seeded random graphs, brute-force oracles, a solve counter and a LAPACK solver.
 
 The cross-check oracles here (the per-edge definition of "deleted", the
 subset criterion alone, T, theta and epsilon as explicit loops over
@@ -8,19 +8,23 @@ double-cover build that visits every vertex as a root, the 3^n integer
 (g, f)-factor test and the edge-list enumeration of dense graphs) are the
 references the tests compare the library's routes against; the library
 itself does not use them, except that it reports a refutation's witness
-through the same subset scan.
+through the same subset scan. ``eigh_top_pairs`` meets the contract of the
+package's solver seam by LAPACK, so the contract tests hold it to the same
+assertions.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 from typing import Iterator, Sequence
 
 import networkx as nx
+import numpy as np
 
 import fracdel.spectral
-from fracdel import Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected, oracle
+from fracdel import ConvergenceError, Graph, SizeGuardError, delete_edge, has_fractional_gf_factor, is_connected, oracle
 from fracdel.graph import _bits
 from fracdel.oracle import (
     FractionalAssignment,
@@ -39,16 +43,56 @@ def gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def count_solves(monkeypatch) -> list[int]:
-    """The order of every matrix the eigensolver kernel is handed from now on, one entry a stacked matrix."""
+    """The order of every matrix the solver seam ``_top_pairs`` is handed from now on, one entry a stacked matrix."""
     solves = []
-    real = fracdel.spectral._jacobi
+    real = fracdel.spectral._top_pairs
 
-    def counted(m, *args, **kwargs):
+    def counted(m):
         solves.extend([m.shape[-1]] * len(m))
-        return real(m, *args, **kwargs)
+        return real(m)
 
-    monkeypatch.setattr(fracdel.spectral, "_jacobi", counted)
+    monkeypatch.setattr(fracdel.spectral, "_top_pairs", counted)
     return solves
+
+
+def planted(rng: np.random.Generator, eigenvalues) -> np.ndarray:
+    """A symmetric matrix with the given eigenvalues, in a random orthonormal basis drawn from rng."""
+    basis, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    m = basis @ np.diag(eigenvalues) @ basis.T
+    return (m + m.T) / 2
+
+
+def eigh_top_pairs(m: np.ndarray) -> list[tuple[float, float]]:
+    """``fracdel.spectral._top_pairs``'s contract met by LAPACK: (top eigenvalue, error bound) per matrix of m.
+
+    The value is theta = x'Mx / x'x for eigh's top vector x, and never exceeds
+    the top eigenvalue. eigh's eigenvalues are taken to be within
+    err = n 2^-52 |M|_F of M's, so alpha = lambda_2 + err bounds all but the top
+    one. Where theta > alpha the bound is the Kato-Temple width
+    |r|^2 / (x'x (theta - alpha)), r = Mx - theta x; at a repeated top it is
+    the larger of |r| / |x| and lambda_1 + err - theta. A bound above
+    ``DEFAULT_TOL``, read at call time, or non-finite input raises ConvergenceError.
+    """
+    if not np.isfinite(m).all():
+        raise ConvergenceError("non-finite input", math.nan)
+    values, vectors = np.linalg.eigh(m)
+    pairs = []
+    for mj, lam, x in zip(m, values, vectors[..., -1]):
+        mx = mj @ x
+        xx = float(x @ x)
+        theta = float(x @ mx) / xx
+        r = mx - theta * x
+        rr = float(r @ r)
+        err = len(mj) * 2.0**-52 * float(np.linalg.norm(mj))
+        alpha = float(lam[-2]) + err if len(mj) > 1 else -math.inf
+        if theta > alpha:
+            bound = rr / (xx * (theta - alpha))
+        else:
+            bound = max(math.sqrt(rr / xx), float(lam[-1]) + err - theta)
+        if not bound <= fracdel.spectral.DEFAULT_TOL:
+            raise ConvergenceError("eigh's top pair is not certified within tol", bound)
+        pairs.append((theta, bound))
+    return pairs
 
 
 def graphs_with_min_edges_by_edge_list(n: int, min_edges: int) -> Iterator[Graph]:

@@ -385,12 +385,15 @@ def test_scan_survives_numerical_failure(capsys, monkeypatch):
 
 
 def test_solver_failure_exits_1(capsys, monkeypatch):
-    # with no sweeps the eigensolver leaves K_7's 42 off-diagonal ones, norm sqrt(42): spectral
-    # and theorem print nothing on stdout and exit 1 with the solver's message
-    monkeypatch.setattr(fracdel.spectral, "MAX_SWEEPS", 0)
+    # where the solver cannot certify K_7's spectra, spectral and theorem print nothing on stdout and exit 1
+    # with the solver's message
+    def fails(m):
+        raise ConvergenceError("planted failure", 6.5)
+
+    monkeypatch.setattr(fracdel.spectral, "_top_pairs", fails)
     for argv in (["spectral"], ["theorem", "--theorem", "1.4", "--a", "1", "--b", "3"]):
         got = run(capsys, *argv, "--graph6", "F~~~w")
-        assert got == (1, "", "numerical failure: no convergence within 0 sweeps (residual 6.481e+00)\n"), argv
+        assert got == (1, "", "numerical failure: planted failure (residual 6.500e+00)\n"), argv
 
 
 def test_scan_file_and_stdin_print_same_bytes(capsys, monkeypatch, tmp_path):
