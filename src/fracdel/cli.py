@@ -35,8 +35,8 @@ __all__ = ["main"]
 
 _TSV_COLUMNS = ("id", "theorem", "hypothesis_met", "oracle", "consistent", "rho", "q", "e", "delta")
 
-CONSTRUCT_BUDGET_GIB = 1  # the memory construct may spend; encoding either family peaks at ~1.21 n^2 bytes
-CONSTRUCT_MAX_N = math.isqrt(CONSTRUCT_BUDGET_GIB * 2**32 // 5)  # 29308: the largest n with 1.25 n^2 bytes in budget
+CONSTRUCT_BUDGET_GIB = 1  # the memory construct may spend; building and encoding peaks at ~0.34 n^2 bytes
+CONSTRUCT_MAX_N = math.isqrt(CONSTRUCT_BUDGET_GIB * 2**30 * 20 // 7)  # 55388: the largest n with 0.35 n^2 bytes in budget
 
 
 def _round(x: float) -> float:

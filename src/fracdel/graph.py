@@ -327,6 +327,7 @@ _BAD_PAYLOAD_BYTE = re.compile("[^?-~]")  # any character outside 63..126
 _B64_TO_GRAPH6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
 )
+_REVERSED_BITS = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))  # translate table: each byte bit-reversed
 
 
 def _graph6_size(s: str) -> tuple[int, int]:
@@ -424,8 +425,11 @@ def to_graph6(g: Graph) -> str:
 
     Built from the adjacency row masks with no pass over the edges: the low j
     bits of row j are column j of the upper triangle, at bit offset j(j-1)/2
-    of the integer ``parse_graph6`` reads. Its binary digits, reversed once,
-    are the payload bit stream, which base64 cuts into 6-bit groups.
+    of the integer ``parse_graph6`` reads. Columns are packed by shifts in
+    blocks of 32. The block from column 32k + 1 starts at bit 16k(32k + 1),
+    on a byte boundary, so the blocks' little-endian bytes join end to end.
+    With each byte's bits reversed by one table, they are the payload bit
+    stream, which base64 cuts into 6-bit groups.
     """
     n = g.n
     if n < 1:
@@ -439,12 +443,23 @@ def to_graph6(g: Graph) -> str:
     if nbits == 0:
         return head
     rows = g._rows
-    # most significant column first, so the joined digits are that integer in binary
-    digits = "".join([format(rows[j] & ((1 << j) - 1), "b").zfill(j) for j in range(n - 1, 0, -1)])
-    pad = -nbits % 24  # left-align the stream to whole 3-byte base64 blocks
-    stream = int(digits[::-1], 2) << pad
-    payload = base64.b64encode(stream.to_bytes((nbits + pad) // 8, "big")).translate(_B64_TO_GRAPH6)
-    return head + payload[: (nbits + 5) // 6].decode("ascii")
+    size = -(-nbits // 24) * 3  # whole 3-byte base64 blocks, so base64 writes no '=' padding
+    chunks = []
+    for lo in range(1, n, 32):
+        hi = lo + 32 if lo + 32 < n else n  # min() would cost a tenth of the call at n = 7
+        packed = 0
+        for j in range(hi - 1, lo - 1, -1):  # column j + 1 starts j bits above column j
+            packed = packed << j | rows[j] & ((1 << j) - 1)
+        end = hi * (hi - 1) // 16 if hi < n else size  # byte offsets; the last block is zero-padded
+        chunks.append(packed.to_bytes(end - lo * (lo - 1) // 16, "little").translate(_REVERSED_BITS))
+    # one name for every stage, so each is freed as soon as the next is made
+    data = b"".join(chunks)
+    del chunks
+    data = base64.b64encode(data)
+    data = data.translate(_B64_TO_GRAPH6)
+    data = data[: (nbits + 5) // 6]
+    data = data.decode("ascii")
+    return head + data
 
 
 def parse_edge_list(text: str) -> Graph:

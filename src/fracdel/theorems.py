@@ -279,21 +279,23 @@ def graphs_with_min_edges(n: int, min_edges: int) -> Iterator[Graph]:
     so dense families come out without touching the full 2^C(n,2) space.
     Deterministic order: edge count descending, removed pairs lexicographic.
     Each graph is K_n's row masks with its removed pairs toggled; no edge
-    list is built.
+    list is built. n and min_edges are integers, numpy's too: a float raises
+    TypeError.
     """
     n = _vertex_count(n)
-    pairs = list(combinations(range(n), 2))
-    total = len(pairs)
+    min_edges = operator.index(min_edges)
+    toggles = [(u, 1 << v, v, 1 << u) for u, v in combinations(range(n), 2)]
+    total = len(toggles)
     if min_edges > total:
         return
     full = complete(n)._rows
     for k in range(total - min_edges + 1):
-        for missing in combinations(pairs, k):
+        for missing in combinations(toggles, k):
             rows = list(full)
-            for u, v in missing:
-                rows[u] ^= 1 << v
-                rows[v] ^= 1 << u
-            yield Graph._from_rows(n, tuple(rows))
+            for u, v_bit, v, u_bit in missing:
+                rows[u] ^= v_bit
+                rows[v] ^= u_bit
+            yield Graph._from_rows(n, tuple(rows), total - k)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,57 @@ class Mutant(NamedTuple):
 ROUTES_AGREE = "tests/test_acceptance.py::test_criterion_1_three_routes_agree"  # killers that rows share
 CI_PINS = "tests/test_cli.py::test_the_bytes_pinned_by_ci"
 REPAIRS = "tests/test_oracle.py::test_every_repair_ends_in_a_factor_of_the_reduced_double_cover"
+ENCODER = "tests/test_graph6.py::test_encoder_matches_the_format_reference"
 
 MUTANTS = (
+    Mutant(
+        "graph6-bit-order",
+        "graph.parse_graph6: each payload byte's six bits are read most significant first",
+        "src/fracdel/graph.py",
+        '_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}',
+        '_SIX_BITS = {c: format(c - 63, "06b")[::-1] for c in range(63, 127)}',
+        killers=("tests/test_graph6.py::test_decode_matches_the_edge_list_constructor",),
+    ),
+    Mutant(
+        "graph6-four-byte-data-start",
+        "graph._graph6_size: the payload starts after '~' and the three size bytes",
+        "src/fracdel/graph.py",
+        "data_start = pos + 4",
+        "data_start = pos + 3",
+        killers=("tests/test_graph6.py::test_four_byte_size_form",),
+    ),
+    Mutant(
+        "graph6-padding-from-first-bit",
+        "graph.parse_graph6: the padding check starts at the first bit past the edges",
+        "src/fracdel/graph.py",
+        'if "1" in bits[nbits:]:',
+        'if "1" in bits[nbits + 1 :]:',
+        killers=("tests/test_graph6.py::test_reject_set_padding_bits",),
+    ),
+    Mutant(
+        "matrix-guard-admits-the-guard",
+        "spectral._check_matrix_guard: n = MATRIX_GUARD itself is admitted",
+        "src/fracdel/spectral.py",
+        "if n > MATRIX_GUARD:",
+        "if n >= MATRIX_GUARD:",
+        killers=("tests/test_spectral.py::test_dense_matrices_are_built_at_the_guard",),
+    ),
+    Mutant(
+        "encoder-bits-not-reversed",
+        "graph.to_graph6: each byte's bits are reversed, so the stream's first bit is the byte's most significant",
+        "src/fracdel/graph.py",
+        '_REVERSED_BITS = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))',
+        "_REVERSED_BITS = bytes(range(256))",
+        killers=(ENCODER,),
+    ),
+    Mutant(
+        "encoder-block-end-plus-one",
+        "graph.to_graph6: a block's bytes end where the next block's start",
+        "src/fracdel/graph.py",
+        "end = hi * (hi - 1) // 16 if hi < n else size",
+        "end = hi * (hi - 1) // 16 + 1 if hi < n else size",
+        killers=(ENCODER,),
+    ),
     Mutant(
         "augment-room",
         "oracle._augment: an other-side y with room ends the path",

@@ -77,17 +77,19 @@ def test_construct_refuses_a_size_past_graph6_before_building_the_graph(capsys, 
 
 
 def test_construct_refuses_a_size_past_its_memory_budget_before_building_the_graph(capsys, monkeypatch):
-    # encoding K_n peaks at ~1.21 n^2 bytes, ~75 GiB at n = 258047, a size graph6 can write:
-    # construct refuses any n whose 1.25 n^2 bytes exceed its budget, before either family is built
+    # building and encoding K_n peaks at ~0.34 n^2 bytes, ~21 GiB at n = 258047, a size graph6
+    # can write: construct refuses any n whose 0.35 n^2 bytes exceed its budget, before either
+    # family is built
     n = fracdel.cli.CONSTRUCT_MAX_N
-    assert 1.25 * n * n <= fracdel.cli.CONSTRUCT_BUDGET_GIB * 2**30 < 1.25 * (n + 1) ** 2
-    tracemalloc.start()
-    try:
-        to_graph6(complete(2000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 2000**2, peak
+    assert 0.35 * n * n <= fracdel.cli.CONSTRUCT_BUDGET_GIB * 2**30 < 0.35 * (n + 1) ** 2
+    for build in (complete, lambda size: extremal(size, 5)):
+        tracemalloc.start()
+        try:
+            to_graph6(build(2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.35 * 2000**2, peak
     built = []
 
     def unbuilt(*args):

@@ -86,18 +86,21 @@ def test_decode_matches_the_edge_list_constructor():
 
 
 def test_encoder_matches_the_format_reference():
-    # the encoder packs row masks into one integer and cuts it with base64; it must
-    # write the format's bytes across the 62/63 size-form boundary and every
-    # padding length: C(n, 2) mod 24 has period 48 in n, so n <= 70 sees every residue
+    # the encoder packs row masks in blocks of 32 columns and cuts them with base64; it
+    # must write the format's bytes across the 62/63 size-form boundary and every
+    # padding length: C(n, 2) mod 24 has period 48 in n, so n <= 70 sees every residue.
+    # Blocks start at columns 32k + 1: n = 32k, 32k + 1 and 32k + 2 leave the last one a column
+    # short, full, or holding one column.
     assert {n * (n - 1) // 2 % 24 for n in range(1, 71)} == {n * (n - 1) // 2 % 24 for n in range(1, 1000)}
     rng = random.Random(73)
-    for n in range(1, 71):
-        for p in (0.0, 0.2, 0.5, 1.0):
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-            g = Graph(n, edges)
-            line = to_graph6(g)
-            assert line == _encode(n, edges)
-            assert parse_graph6(line) == g
+    cases = [(n, p) for n in range(1, 71) for p in (0.0, 0.2, 0.5, 1.0)]
+    cases += [(n, p) for n in (64, 65, 66, 128, 129, 130, 200, 257) for p in (0.2, 1.0)]
+    for n, p in cases:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        line = to_graph6(g)
+        assert line == _encode(n, edges)
+        assert parse_graph6(line) == g
 
 
 @pytest.mark.parametrize("path", [False, True], ids=["edgeless", "path"])

@@ -81,6 +81,20 @@ def test_dense_matrices_are_refused_above_the_guard():
     assert peak < 1 << 20, peak  # one 4097 x 4097 float64 matrix is 128 MiB
 
 
+def test_dense_matrices_are_built_at_the_guard(monkeypatch):
+    # the guard admits n = MATRIX_GUARD itself: the 128 MiB matrix is asked for, not refused
+    class Asked(Exception):
+        pass
+
+    def empty(shape, *args, **kwargs):
+        raise Asked(shape)
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(Asked) as asked:
+        adjacency_matrix(Graph(MATRIX_GUARD))
+    assert asked.value.args == ((1, MATRIX_GUARD, MATRIX_GUARD),)
+
+
 # --- the solver seam's contract, held by the package's _top_pairs and by helpers.eigh_top_pairs alike ----------
 
 

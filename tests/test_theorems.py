@@ -342,6 +342,10 @@ def test_graphs_with_min_edges_takes_integer_counts_only():
         list(graphs_with_min_edges(4.0, 6))
     with pytest.raises(ValueError):
         list(graphs_with_min_edges(np.int64(-1), 0))
+    assert list(graphs_with_min_edges(4, np.int64(6))) == got
+    for min_edges in (6.0, 100.5):  # past C(7, 2) too: the type is checked before the count
+        with pytest.raises(TypeError):
+            list(graphs_with_min_edges(7, min_edges))
 
 
 def test_graphs_with_min_edges_matches_the_edge_list_reference():
