@@ -321,12 +321,11 @@ def is_connected(g: Graph) -> bool:
 # within each 6-bit group, zero-padded at the end. All data bytes are 63..126.
 
 
-_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}  # str.translate table
 _BAD_PAYLOAD_BYTE = re.compile("[^?-~]")  # any character outside 63..126
 # base64 writes 6-bit group v as the v-th letter of its alphabet; graph6 writes it as byte 63 + v
-_B64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_GRAPH6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_GRAPH6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
 _REVERSED_BITS = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))  # translate table: each byte bit-reversed
 
 
@@ -385,26 +384,21 @@ def parse_graph6(line: str) -> Graph:
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     got = len(s) - data_start
-    if got < need:
-        raise Graph6Error(f"expected {need} payload bytes, found {got}", len(s))
-    if got > need:
-        raise Graph6Error(f"expected {need} payload bytes, found {got}", data_start + need)
+    if got != need:  # reported where the payload ends, or where it should have ended
+        raise Graph6Error(f"expected {need} payload bytes, found {got}", min(len(s), data_start + need))
 
-    payload = s[data_start:]
-    bad = _BAD_PAYLOAD_BYTE.search(payload)
+    bad = _BAD_PAYLOAD_BYTE.search(s, data_start)
     if bad:
-        raise Graph6Error(f"payload byte {ord(bad.group())} out of range 63..126", data_start + bad.start())
-    bits = payload.translate(_SIX_BITS)  # one '0'/'1' character per payload bit, in order
-    if "1" in bits[nbits:]:  # the padding lies in the last byte
+        raise Graph6Error(f"payload byte {ord(bad.group())} out of range 63..126", bad.start())
+    # to_graph6's stages undone: bit k of data is payload bit k, and edge (i, j) is bit j(j-1)/2 + i
+    data = s[data_start:].encode("ascii").translate(_GRAPH6_TO_B64) + b"A" * (-need % 4)  # "A" is base64's 0
+    data = base64.b64decode(data).translate(_REVERSED_BITS)
+    if int.from_bytes(data[nbits >> 3 :], "little") >> (nbits & 7):  # the padding lies in the last byte
         raise Graph6Error("padding bits beyond the edge payload are set", data_start + need - 1)
-    # Reversed, the bits of column j (pairs (0, j) .. (j-1, j)) are one slice whose
-    # last character is pair (0, j), so int(slice, 2) has bit i set for edge (i, j).
-    bits = bits[:nbits][::-1]
     rows = [0] * n
-    end = nbits
     for j in range(1, n):
-        col = int(bits[end - j : end], 2)
-        end -= j
+        at = j * (j - 1) // 2  # column j, pairs (0, j) .. (j-1, j), where the encoder writes it
+        col = int.from_bytes(data[at >> 3 : (at + j + 7) >> 3], "little") >> (at & 7) & ((1 << j) - 1)
         rows[j] = col
         jbit = 1 << j
         while col:
@@ -425,7 +419,7 @@ def to_graph6(g: Graph) -> str:
 
     Built from the adjacency row masks with no pass over the edges: the low j
     bits of row j are column j of the upper triangle, at bit offset j(j-1)/2
-    of the integer ``parse_graph6`` reads. Columns are packed by shifts in
+    of the bytes ``parse_graph6`` decodes. Columns are packed by shifts in
     blocks of 32. The block from column 32k + 1 starts at bit 16k(32k + 1),
     on a byte boundary, so the blocks' little-endian bytes join end to end.
     With each byte's bits reversed by one table, they are the payload bit

@@ -131,6 +131,11 @@ _CONDITIONS = {
 THEOREM_IDS = tuple(_CONDITIONS)
 
 
+def _applies(n: int, a: int, b: int) -> bool:
+    """Whether (n, a, b) is in the range all three conditions are stated for."""
+    return b >= max(a, 3) and n >= max(a + 2, 7)
+
+
 def eval_theorem(
     graph: Graph,
     theorem_id: str,
@@ -158,7 +163,7 @@ def eval_theorem(
     summary = spectral_summary(graph)
 
     connected_only, own_values, met = _CONDITIONS[theorem_id]
-    applicable = b >= max(a, 3) and n >= max(a + 2, 7) and (connected or not connected_only)
+    applicable = _applies(n, a, b) and (connected or not connected_only)
     values: dict = {
         "e": e,
         "delta": delta,
@@ -233,7 +238,7 @@ def verify_sharpness(n: int, a: int, b: int) -> SharpnessReport:
     ValueError before the extremal graph is built.
     """
     n, (a, b) = operator.index(n), _validate_ab(a, b)  # numpy's integers too; a float raises
-    if not (b >= max(a, 3) and n >= max(a + 2, 7)):
+    if not _applies(n, a, b):
         raise ValueError(f"sharpness replay needs b >= max(a,3) and n >= max(a+2,7), got n={n}, a={a}, b={b}")
     _check_matrix_guard(n)  # the spectra would refuse gstar; refuse it before its row masks are built
     gstar = extremal(n, a)

@@ -16,7 +16,7 @@ equivalent survives, when one marked equivalent is killed, or when a row's old
 text no longer occurs exactly once in its file. A change to a decision site adds
 its mutants here.
 
-    python tests/mutants.py    # every row, about 3 min on one core
+    python tests/mutants.py    # every row, about 4 min on one core
 """
 
 from __future__ import annotations
@@ -49,15 +49,32 @@ ROUTES_AGREE = "tests/test_acceptance.py::test_criterion_1_three_routes_agree"  
 CI_PINS = "tests/test_cli.py::test_the_bytes_pinned_by_ci"
 REPAIRS = "tests/test_oracle.py::test_every_repair_ends_in_a_factor_of_the_reduced_double_cover"
 ENCODER = "tests/test_graph6.py::test_encoder_matches_the_format_reference"
+DECODER = "tests/test_graph6.py::test_decode_matches_the_edge_list_constructor"
 
 MUTANTS = (
     Mutant(
         "graph6-bit-order",
-        "graph.parse_graph6: each payload byte's six bits are read most significant first",
+        "graph.parse_graph6: each decoded byte's bits are reversed, so payload bit k is bit k of the bytes",
         "src/fracdel/graph.py",
-        '_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}',
-        '_SIX_BITS = {c: format(c - 63, "06b")[::-1] for c in range(63, 127)}',
-        killers=("tests/test_graph6.py::test_decode_matches_the_edge_list_constructor",),
+        "data = base64.b64decode(data).translate(_REVERSED_BITS)",
+        "data = base64.b64decode(data)",
+        killers=(DECODER,),
+    ),
+    Mutant(
+        "graph6-column-offset",
+        "graph.parse_graph6: column j is read from bit offset j(j-1)/2, where the encoder writes it",
+        "src/fracdel/graph.py",
+        "at = j * (j - 1) // 2",
+        "at = j * (j + 1) // 2",
+        killers=(DECODER,),
+    ),
+    Mutant(
+        "graph6-column-end-short",
+        "graph.parse_graph6: column j's byte slice runs to the byte holding its last bit",
+        "src/fracdel/graph.py",
+        "(at + j + 7) >> 3",
+        "(at + j) >> 3",
+        killers=(DECODER,),
     ),
     Mutant(
         "graph6-four-byte-data-start",
@@ -71,8 +88,8 @@ MUTANTS = (
         "graph6-padding-from-first-bit",
         "graph.parse_graph6: the padding check starts at the first bit past the edges",
         "src/fracdel/graph.py",
-        'if "1" in bits[nbits:]:',
-        'if "1" in bits[nbits + 1 :]:',
+        'int.from_bytes(data[nbits >> 3 :], "little") >> (nbits & 7):',
+        'int.from_bytes(data[nbits >> 3 :], "little") >> (nbits & 7) + 1:',
         killers=("tests/test_graph6.py::test_reject_set_padding_bits",),
     ),
     Mutant(
@@ -89,7 +106,8 @@ MUTANTS = (
         "src/fracdel/graph.py",
         '_REVERSED_BITS = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))',
         "_REVERSED_BITS = bytes(range(256))",
-        killers=(ENCODER,),
+        # the decoder shares the table, so only a reference to the format itself tells
+        killers=(ENCODER, DECODER, "tests/test_graph6.py::test_matches_networkx_codec"),
     ),
     Mutant(
         "encoder-block-end-plus-one",
@@ -365,6 +383,38 @@ MUTANTS = (
         "except ConvergenceError as exc:",
         "except ZeroDivisionError as exc:",
         killers=("tests/test_cli.py::test_scan_survives_numerical_failure",),
+    ),
+    Mutant(
+        "scan-counterexample-exit-3",
+        "cli._cmd_scan: a scan that finds a counterexample exits 3",
+        "src/fracdel/cli.py",
+        'return 3 if counts["counterexamples"] else 0',
+        'return 1 if counts["counterexamples"] else 0',
+        killers=("tests/test_cli.py::test_scan_counterexample_exit_code",),
+    ),
+    Mutant(
+        "main-input-error-exit-2",
+        "cli.main: an input or usage error exits 2",
+        "src/fracdel/cli.py",
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 2\n',
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n',
+        killers=("tests/test_cli.py::test_malformed_graph6_exits_2",),
+    ),
+    Mutant(
+        "main-numerical-failure-exit-1",
+        "cli.main: an eigensolver failure exits 1",
+        "src/fracdel/cli.py",
+        '        print(f"numerical failure: {exc}", file=sys.stderr)\n        return 1\n',
+        '        print(f"numerical failure: {exc}", file=sys.stderr)\n        return 2\n',
+        killers=("tests/test_cli.py::test_solver_failure_exits_1",),
+    ),
+    Mutant(
+        "theorem-18-min-degree",
+        "theorems 1.8: the minimum degree is at least a + 1",
+        "src/fracdel/theorems.py",
+        'v["delta"] >= a + 1 and',
+        'v["delta"] >= a and',
+        killers=("tests/test_theorems.py::test_theorem_18_on_the_dense_7_vertex_graphs_at_its_bound",),
     ),
     Mutant(
         "theorem-18-bound-plus-one",

@@ -1,6 +1,7 @@
 """graph6 codec fidelity and edge-list parsing."""
 
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -56,6 +57,10 @@ def test_matches_networkx_codec():
         back = nx.from_graph6_bytes(s.encode())
         assert back.number_of_nodes() == g.n
         assert {frozenset(e) for e in back.edges()} == {frozenset(e) for e in g.edges()}
+    for n in (200, 257):  # the decoder on networkx's bytes, in the 4-byte size form
+        h = nx.gnp_random_graph(n, 0.3, seed=n)
+        g = parse_graph6(nx.to_graph6_bytes(h, header=False).strip().decode())
+        assert g == Graph(n, h.edges())
 
 
 def _encode(n, edges):
@@ -73,16 +78,17 @@ def _encode(n, edges):
 
 def test_decode_matches_the_edge_list_constructor():
     # the decoder builds adjacency rows straight from the payload; they must equal
-    # Graph(n, edges) on every n up to the 4-byte size form
+    # Graph(n, edges) on every n up to the 4-byte size form, and on larger n in it
     rng = random.Random(71)
-    for n in range(1, 71):
-        for p in (0.0, 0.2, 0.5, 1.0):
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-            line = _encode(n, edges)
-            assert line.startswith("~") == (n > 62)
-            g = parse_graph6(line)
-            assert g == Graph(n, edges) and g.edge_count == len(edges)
-            assert list(g.edges()) == edges
+    cases = [(n, p) for n in range(1, 71) for p in (0.0, 0.2, 0.5, 1.0)]
+    cases += [(n, p) for n in (128, 129, 130, 200, 257) for p in (0.2, 1.0)]
+    for n, p in cases:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        line = _encode(n, edges)
+        assert line.startswith("~") == (n > 62)
+        g = parse_graph6(line)
+        assert g == Graph(n, edges) and g.edge_count == len(edges)
+        assert list(g.edges()) == edges
 
 
 def test_encoder_matches_the_format_reference():
@@ -191,6 +197,36 @@ def test_reject_set_padding_bits():
     with pytest.raises(Graph6Error, match="padding") as ei:
         parse_graph6("A" + chr(63 + 16))
     assert _offset_of(ei) == 1
+    # on K_n, whose edge bits are all set, the first padding bit alone, then the last alone,
+    # is reported at the last payload byte, for every padding length and both size forms
+    for n in range(2, 71):
+        nbits = n * (n - 1) // 2
+        if nbits % 6 == 0:
+            continue
+        line = _encode(n, complete(n).edges())
+        need = (nbits + 5) // 6
+        data_start = len(line) - need
+        assert data_start == (1 if n <= 62 else 4)
+        for bit in (5 - nbits % 6, 0):  # the group's bits run from its most significant
+            bad = line[:-1] + chr(63 + (ord(line[-1]) - 63 | 1 << bit))
+            with pytest.raises(Graph6Error, match="padding") as ei:
+                parse_graph6(bad)
+            assert _offset_of(ei) == data_start + need - 1
+
+
+def test_decode_peak_memory_on_a_large_line():
+    # the payload is ~n^2/12 bytes and the row masks n^2/8: decoding holds a few copies of the
+    # payload's bytes, never one object per bit
+    n = 2000
+    line = to_graph6(cycle_graph(n))
+    tracemalloc.start()
+    try:
+        g = parse_graph6(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == cycle_graph(n)
+    assert peak <= 0.3 * n * n, peak
 
 
 def test_truncated_four_byte_size():
