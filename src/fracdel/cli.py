@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from .graph import Graph, Graph6Error, _check_graph6_max, complete, extremal, is_connected, parse_graph6, to_graph6
+from .graph import Graph, _check_graph6_max, complete, extremal, is_connected, parse_graph6, to_graph6
 from .oracle import SizeGuardError, find_fractional_factor, is_fractional_ab_deleted
 from .spectral import DEFAULT_TOL, ConvergenceError, _check_graph6_guard, feng_yu_bound, hsf_bound, spectral_summary
 from .theorems import (
@@ -35,8 +35,8 @@ __all__ = ["main"]
 
 _TSV_COLUMNS = ("id", "theorem", "hypothesis_met", "oracle", "consistent", "rho", "q", "e", "delta")
 
-CONSTRUCT_BUDGET_GIB = 1  # the memory construct may spend; building and encoding peaks at ~0.34 n^2 bytes
-CONSTRUCT_MAX_N = math.isqrt(CONSTRUCT_BUDGET_GIB * 2**30 * 20 // 7)  # 55388: the largest n with 0.35 n^2 bytes in budget
+CONSTRUCT_BUDGET_GIB = 1  # the memory construct may spend; its max RSS is 0.31-0.38 n^2 bytes at n >= 30 000
+CONSTRUCT_MAX_N = math.isqrt(CONSTRUCT_BUDGET_GIB * 2**30 * 5 // 2)  # 51810: the largest n with 0.4 n^2 bytes in budget
 
 
 def _round(x: float) -> float:
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
-    except (Graph6Error, SizeGuardError, ValueError, OSError) as exc:
+    except (SizeGuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -125,12 +125,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        for u, row in enumerate(self._rows):
-            row &= -2 << u  # neighbours above u
-            while row:
-                low = row & -row
-                yield (u, low.bit_length() - 1)
-                row ^= low
+        return _edges(self._rows)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -157,6 +152,16 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _edges(rows) -> Iterator[tuple[int, int]]:
+    """Every (u, v) with u < v and bit v of rows[u] set, in lexicographic order."""
+    for u, row in enumerate(rows):
+        row &= -2 << u  # neighbours above u
+        while row:
+            low = row & -row
+            yield u, low.bit_length() - 1
+            row ^= low
 
 
 def _vertex_count(n: int) -> int:

@@ -9,7 +9,7 @@ Two routes underlie everything here:
 
 * a deficiency criterion over vertex subsets S with a derived low-degree set
   T, scanned over all 2^n masks and refuted by an explicit (S, T) witness
-  (``has_fractional_gf_factor``, and ``_subset_deleted`` for "deleted");
+  (``has_fractional_gf_factor``, and ``_subset_decide`` under "deleted");
 * a constructive certificate, a (g, f)-factor of the bipartite double cover
   found by greedy matching and alternating paths on the adjacency bitmasks,
   giving half-integral edge weights that can be rechecked in exact
@@ -31,12 +31,12 @@ parent's factor, and the repairs below are the same call.
 ``is_fractional_ab_deleted`` decides in this order: the degree test, the
 size guard, a closed form, F0, F1 and repairs, then the 2^n witness scan. A
 vertex of degree <= a refutes G at S = {} before anything is built. Past the
-guard, b(delta - 1) >= a * Delta decides G with no search. Otherwise one
-[a, b]-factor F0 of the double cover, a second F1 built off F0's support,
-and one repair for each edge both use give every G - e a factor, and every
-failed raise, F0's build or a repair, refutes G. Only a refutation runs the
-2^n scan, to report the first violating S in (size, lex) order, and the scan
-must find one.
+guard, b(delta - 1) >= a * Delta decides G with no search. Otherwise F0,
+G's certificate factor from ``_factor_of``, a second factor F1 built off
+F0's support, and one repair for each edge both use give every G - e a
+factor, and every failed raise, F0's or a repair, refutes G. Only a
+refutation runs the 2^n scan, to report the first violating S in (size, lex)
+order, and the scan must find one.
 
 The test suite compares these against the definition itself (the
 subset-based ``has_fractional_gf_factor`` on G - e for every edge), the
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .graph import Graph, _bits, _disjoint_masks, _vertex_mask
+from .graph import Graph, _bits, _disjoint_masks, _edges, _vertex_mask
 
 if TYPE_CHECKING:  # numpy is imported where it computes, so importing this module does not load it
     import numpy as np
@@ -124,16 +124,7 @@ class FractionalAssignment:
     def halves(self) -> dict[tuple[int, int], int]:
         """h(uv) for every edge (u, v) with u < v, in lexicographic order; built on each access."""
         out = self.out
-        halves = {}
-        for u, row in enumerate(self.rows):
-            out_u = out[u]
-            row &= -2 << u  # neighbours above u, in increasing order
-            while row:
-                low = row & -row
-                v = low.bit_length() - 1
-                halves[u, v] = (out_u >> v & 1) + (out[v] >> u & 1)
-                row ^= low
-        return halves
+        return {(u, v): (out[u] >> v & 1) + (out[v] >> u & 1) for u, v in _edges(self.rows)}
 
     def weight(self, u: int, v: int) -> Fraction:
         """h(uv) / 2; KeyError when uv is not an edge."""
@@ -394,7 +385,8 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     the weight min(1, b / Delta) on every edge of G - e gives each vertex a
     sum between a and b, since delta > a. It never holds at a = b.
     Otherwise the verdict comes from ``_deleted_by_repair``, in polynomial
-    time: an [a, b]-factor F0 of the double cover, a second one F1 built off
+    time: the double-cover factor F0 behind G's ``find_fractional_factor``
+    certificate, built once per Graph and bounds, a second one F1 built off
     F0's support, and a repair for each edge in both supports. Every failed
     raise refutes G, and only a refutation needs the 2^n scan for its
     witness. The size guard applies to both verdicts, and to an edgeless
@@ -402,10 +394,11 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
     """
     a, b = _validate_ab(a, b)
     _require_vertices(graph)
+    gv, fv = _constant(a, graph.n), _constant(b, graph.n)
     degrees = graph.degrees()
     low, high = min(degrees), max(degrees)
     if graph.edge_count and low <= a:
-        at_empty = deficiency_witness(graph, (), a, b)
+        at_empty = _witness(graph, 0, fv, gv, "deleted")
         if at_empty.satisfied:
             raise RuntimeError(f"minimum degree {low} <= a = {a}, but S = {{}} satisfies the criterion")
         return False, at_empty
@@ -414,19 +407,12 @@ def is_fractional_ab_deleted(graph: Graph, a: int, b: int, max_n: int | None = N
         return True, None
     if b * (low - 1) >= a * high:
         return True, None  # weight min(1, b / high) on every edge puts each G - e in [a, b]
-    if _deleted_by_repair(graph, a, b):
+    if _deleted_by_repair(graph, gv, fv):
         return True, None
-    verdict, witness = _subset_deleted(graph, a, b)
+    verdict, witness = _subset_decide(graph, fv, gv, "deleted")
     if verdict:
         raise RuntimeError("the double cover refutes the graph, but no subset S violates the criterion")
     return False, witness
-
-
-def _subset_deleted(graph: Graph, a: int, b: int):
-    """The subset criterion alone, on a graph with at least one edge: (True, None),
-    or (False, witness) for the first violating S in (size, lex) order."""
-    n = graph.n
-    return _subset_decide(graph, (b,) * n, (a,) * n, "deleted")
 
 
 # --- double-cover b-matching ---------------------------------------------------
@@ -580,43 +566,41 @@ def _repaired(adj, gv, fv, out, into, u: int, v: int) -> tuple[list[int], list[i
     return _double_cover_factor(adj, gv, fv, (out, into, ends, ends))
 
 
-def _deleted_by_repair(graph: Graph, a: int, b: int) -> bool:
-    """Whether G - e has a fractional [a, b]-factor for every edge e, on a graph with an edge.
+def _deleted_by_repair(graph: Graph, gv, fv) -> bool:
+    """Whether every G - e, on a graph with an edge, has a fractional [a, b]-factor: gv = a, fv = b.
 
     ``is_fractional_ab_deleted`` calls this only on the graphs that its
-    degree test, size guard and closed form leave undecided. One [a, b]-factor
-    F0 of the double cover is built; if there is none, no G - e has one
-    either. An edge uv outside F0's support (neither u -> v' nor v -> u' in
-    F0) leaves F0 a factor of G - uv. A second factor F1 of the same double
-    cover is built with a greedy start that takes arcs off F0's support
-    first, and covers in the same way every edge outside its own support; it
-    exists because F0 does. Only the edges both supports share are left: for
-    each, whichever of F0 and F1 holds fewer of the edge's two arcs (F0 on a
-    tie) is repaired by ``_repaired``, and a failed repair means G - uv has
-    no factor. So every failed raise here proves G is not deleted.
+    degree test, size guard and closed form leave undecided. F0 is G's
+    certificate factor, from ``_factor_of``; if there is none, no G - e has
+    one either. An edge uv outside F0's support (neither u -> v' nor v -> u'
+    in F0) leaves F0 a factor of G - uv. A second factor F1 of the same
+    double cover is built with a greedy start that takes arcs off F0's
+    support first, and covers in the same way every edge outside its own
+    support; it exists because F0 does. Only the edges both supports share
+    are left: for each, whichever of F0 and F1 holds fewer of the edge's two
+    arcs (F0 on a tie) is repaired by ``_repaired``, and a failed repair
+    means G - uv has no factor. So every failed raise here proves G is not
+    deleted.
     """
-    n = graph.n
-    adj = list(graph._rows)
-    gv, fv = (a,) * n, (b,) * n
-    found = _double_cover_factor(adj, gv, fv, _greedy_start(adj, gv, fv))
+    found = _factor_of(graph, gv, fv)
     if found is None:
         return False
     out0, into0 = found
-    support0 = [out0[u] | into0[u] for u in range(n)]
+    adj = graph._rows
+    support0 = [o | i for o, i in zip(out0, into0)]
     found = _double_cover_factor(adj, gv, fv, _greedy_start(adj, gv, fv, support0))
     if found is None:
         raise RuntimeError("the double cover has the [a, b]-factor F0, but the build of F1 found none")
     out1, into1 = found
-    for u in range(n):
-        both = support0[u] & (out1[u] | into1[u])
-        for v in _bits(both >> (u + 1) << (u + 1)):  # edges uv with v > u that F0 and F1 both use
-            fewer_in_f1 = (out1[u] >> v & 1) + (out1[v] >> u & 1) < (out0[u] >> v & 1) + (out0[v] >> u & 1)
-            out, into = (out1, into1) if fewer_in_f1 else (out0, into0)
-            adj_e = adj.copy()
-            adj_e[u] ^= 1 << v
-            adj_e[v] ^= 1 << u
-            if _repaired(adj_e, gv, fv, out, into, u, v) is None:
-                return False
+    both = [s & (o | i) for s, o, i in zip(support0, out1, into1)]  # the edges F0 and F1 both use
+    for u, v in _edges(both):
+        fewer_in_f1 = (out1[u] >> v & 1) + (out1[v] >> u & 1) < (out0[u] >> v & 1) + (out0[v] >> u & 1)
+        out, into = (out1, into1) if fewer_in_f1 else (out0, into0)
+        adj_e = list(adj)
+        adj_e[u] ^= 1 << v
+        adj_e[v] ^= 1 << u
+        if _repaired(adj_e, gv, fv, out, into, u, v) is None:
+            return False
     return True
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import ClassVar, Iterable, Iterator
 
-from .graph import Graph, Graph6Error, _extremal_size, _vertex_count, complete, extremal, is_connected, parse_graph6
+from .graph import Graph, _extremal_size, _vertex_count, complete, extremal, is_connected, parse_graph6
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
 from .spectral import ConvergenceError, _check_graph6_guard, _check_matrix_guard, spectral_summary
 
@@ -348,7 +348,7 @@ def scan(
             _check_graph6_guard(text)  # every condition needs rho and q
             graph = parse_graph6(text)
             report = eval_theorem(graph, theorem_id, a, b, max_n=max_n)
-        except (Graph6Error, ValueError) as exc:
+        except ValueError as exc:
             yield ScanRecord(index, text, None, str(exc))
             continue
         except ConvergenceError as exc:

@@ -31,7 +31,7 @@ from fracdel.oracle import (
     _bounds_vectors,
     _check_subset_guard,
     _require_vertices,
-    _subset_deleted,
+    _subset_decide,
     _validate_ab,
 )
 
@@ -175,7 +175,8 @@ def is_fractional_ab_deleted_by_subsets(graph: Graph, a: int, b: int, max_n: int
     _check_subset_guard(graph.n, max_n)
     if graph.edge_count == 0:
         return True, None
-    return _subset_deleted(graph, a, b)
+    n = graph.n
+    return _subset_decide(graph, (b,) * n, (a,) * n, "deleted")
 
 
 def degree_minus(graph: Graph, v: int, s) -> int:

@@ -281,6 +281,34 @@ MUTANTS = (
         " verdicts",
     ),
     Mutant(
+        "decider-f0-own-greedy-start",
+        "oracle._deleted_by_repair: F0 is G's certificate factor, from the memo behind find_fractional_factor",
+        "src/fracdel/oracle.py",
+        "found = _factor_of(graph, gv, fv)\n    if found is None:\n        return False\n",
+        "found = _double_cover_factor(graph._rows, gv, fv, _greedy_start(graph._rows, gv, fv))\n"
+        "    if found is None:\n        return False\n",
+        killers=(
+            "tests/test_oracle.py::test_the_decider_and_the_certificate_share_one_greedy_pass",
+            "tests/test_oracle.py::test_a_g_minus_e_decides_from_a_repair_of_its_parents_factor",
+        ),
+    ),
+    Mutant(
+        "repair-shared-edges-from-f0-alone",
+        "oracle._deleted_by_repair: only the edges that F0 and F1 both use are repaired",
+        "src/fracdel/oracle.py",
+        "for u, v in _edges(both):",
+        "for u, v in _edges(support0):",
+        killers=(REPAIRS,),
+    ),
+    Mutant(
+        "edges-skip-next-neighbour",
+        "graph._edges: the walk over row u starts at neighbour u + 1",
+        "src/fracdel/graph.py",
+        "row &= -2 << u  # neighbours above u",
+        "row &= -4 << u  # neighbours above u",
+        killers=("tests/test_graph.py::test_edges_in_lexicographic_order",),
+    ),
+    Mutant(
         "theorem-14-strict",
         "theorems 1.4: rho(G) > rho(extremal(n, a)), strictly, past the margin",
         "src/fracdel/theorems.py",

@@ -631,7 +631,7 @@ def test_min_degree_at_most_a_refutes_before_any_factor_is_built(monkeypatch):
 
 def test_deleted_raises_when_the_empty_set_witness_holds(monkeypatch):
     satisfied = oracle.DeficiencyWitness((), (), 0, 0, rule="deleted", satisfied=True)
-    monkeypatch.setattr(oracle, "deficiency_witness", lambda *args: satisfied)
+    monkeypatch.setattr(oracle, "_witness", lambda *args: satisfied)
     with pytest.raises(RuntimeError, match="S = {} satisfies"):
         is_fractional_ab_deleted(path_graph(4), 1, 3)
 
@@ -902,23 +902,59 @@ def test_a_chain_of_deletions_deeper_than_the_recursion_limit():
     assert all(h._build is not None for h in chain)
 
 
+def record_greedy_starts(monkeypatch) -> list:
+    """The avoid masks of every greedy start from now on, None for a start without them."""
+    avoids = []
+    greedy_start = oracle._greedy_start
+
+    def recorded(adj, gv, fv, avoid=None):
+        avoids.append(avoid)
+        return greedy_start(adj, gv, fv, avoid)
+
+    monkeypatch.setattr(oracle, "_greedy_start", recorded)
+    return avoids
+
+
 def test_g_and_every_g_minus_e_share_one_greedy_pass(monkeypatch):
     # the G(32, 1/2) of the CI factor step: G's certificate takes the only greedy pass, and
     # each of its 251 G - e takes or repairs G's factor
-    calls = []
-    greedy_start = oracle._greedy_start
-
-    def counted(*args):
-        calls.append(args)
-        return greedy_start(*args)
-
-    monkeypatch.setattr(oracle, "_greedy_start", counted)
+    calls = record_greedy_starts(monkeypatch)
     r = random.Random(20260816)
     g = Graph(32, [e for e in combinations(range(32), 2) if r.random() < 0.5])
     for a, b in ((1, 3), (3, 3)):
         calls.clear()
         assert all(find_fractional_factor(delete_edge(g, u, v), a, b) is not None for u, v in g.edges())
         assert g.edge_count == 251 and len(calls) == 1, (a, b, len(calls))
+
+
+def test_the_decider_and_the_certificate_share_one_greedy_pass(monkeypatch):
+    # the decider's F0 is G's certificate factor: deciding G and then certifying it, at the
+    # same bounds on one Graph, raises G's factor from one greedy start; only F1's start,
+    # taken off F0's support, is the decider's own
+    avoids = record_greedy_starts(monkeypatch)
+    for g, a, b in [(complete(14), 3, 3), (parse_graph6("EXjw"), 1, 2)]:
+        avoids.clear()
+        assert not closed_form_holds(g, a, b)
+        assert is_fractional_ab_deleted(g, a, b) == (True, None)
+        fa = find_fractional_factor(g, a, b)
+        assert fa is not None and fa.satisfies(g, a, b)
+        assert [avoid is None for avoid in avoids] == [True, False], (g, a, b)
+
+
+def test_a_g_minus_e_decides_from_a_repair_of_its_parents_factor(monkeypatch):
+    # a G - e made by delete_edge, with G's factor memoised, takes F0 from that factor, kept or
+    # repaired, so the decider's one greedy start is F1's; the verdict is the one a graph with
+    # G - e's edges and no parent gets
+    avoids = record_greedy_starts(monkeypatch)
+    g = complete(14)
+    assert find_fractional_factor(g, 3, 3) is not None
+    for u, v in list(g.edges())[::7]:
+        h = delete_edge(g, u, v)
+        assert not closed_form_holds(h, 3, 3)
+        avoids.clear()
+        got = is_fractional_ab_deleted(h, 3, 3)
+        assert len(avoids) == 1 and avoids[0] is not None, (u, v, avoids)
+        assert got == is_fractional_ab_deleted(Graph._from_rows(h.n, h._rows), 3, 3), (u, v)
 
 
 def test_g_minus_e_searches_only_to_repair_an_arc_of_its_edge(monkeypatch):
