@@ -15,13 +15,14 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from .graph import Graph, _check_graph6_max, complete, extremal, is_connected, parse_graph6, to_graph6
+from .graph import _check_graph6_max, _parse_graph6_within, complete, extremal, is_connected, to_graph6
 from .oracle import SizeGuardError, find_fractional_factor, is_fractional_ab_deleted
-from .spectral import DEFAULT_TOL, ConvergenceError, _check_graph6_guard, feng_yu_bound, hsf_bound, spectral_summary
+from .spectral import DEFAULT_TOL, ConvergenceError, _check_matrix_guard, feng_yu_bound, hsf_bound, spectral_summary
 from .theorems import (
     THEOREM_IDS,
     SharpnessError,
@@ -35,7 +36,8 @@ __all__ = ["main"]
 
 _TSV_COLUMNS = ("id", "theorem", "hypothesis_met", "oracle", "consistent", "rho", "q", "e", "delta")
 
-CONSTRUCT_BUDGET_GIB = 1  # the memory construct may spend; its max RSS is 0.31-0.38 n^2 bytes at n >= 30 000
+# max RSS at n >= 10 000: construct's 0.31-0.38 n^2 bytes; check's and factor's, on cycle lines, 0.287 and 0.275 n^2
+CONSTRUCT_BUDGET_GIB = 1  # the memory construct, check and factor may spend
 CONSTRUCT_MAX_N = math.isqrt(CONSTRUCT_BUDGET_GIB * 2**30 * 5 // 2)  # 51810: the largest n with 0.4 n^2 bytes in budget
 
 
@@ -98,16 +100,13 @@ def _read_one_line(args) -> str:
     raise ValueError("no input graph: expected one graph6 line")
 
 
-def _read_one_graph(args) -> Graph:
-    return parse_graph6(_read_one_line(args))
-
-
-def _read_one_dense_graph(args) -> Graph:
-    """The input graph for a command that needs rho and q: a line past the spectral
-    ceiling is refused from its size field, before its payload is decoded."""
-    line = _read_one_line(args)
-    _check_graph6_guard(line)
-    return parse_graph6(line)
+def _check_budget(n: int, work: str) -> None:
+    """ValueError when n is past CONSTRUCT_MAX_N, the largest n at which ``work`` stays in the memory budget."""
+    if n > CONSTRUCT_MAX_N:
+        raise ValueError(
+            f"n={n} exceeds {CONSTRUCT_MAX_N}, the largest n {work}"
+            f" within its {CONSTRUCT_BUDGET_GIB} GiB memory budget"
+        )
 
 
 def _add_graph_input(parser: argparse.ArgumentParser) -> None:
@@ -120,18 +119,14 @@ def _cmd_construct(args) -> int:
     if args.family == "extremal" and args.a is None:
         raise ValueError("--family extremal requires --a")
     _check_graph6_max(args.n)  # refused before the graph's ~n^2/8 bytes of row masks are built
-    if args.n > CONSTRUCT_MAX_N:
-        raise ValueError(
-            f"n={args.n} exceeds {CONSTRUCT_MAX_N}, the largest n construct encodes"
-            f" within its {CONSTRUCT_BUDGET_GIB} GiB memory budget"
-        )
+    _check_budget(args.n, "construct encodes")
     graph = complete(args.n) if args.family == "complete" else extremal(args.n, args.a)
     print(to_graph6(graph))
     return 0
 
 
 def _cmd_spectral(args) -> int:
-    graph = _read_one_dense_graph(args)
+    graph = _parse_graph6_within(_read_one_line(args), _check_matrix_guard)
     summary = spectral_summary(graph)
     fy = feng_yu_bound(graph) if graph.n >= 2 and is_connected(graph) else None
     rounded = _round_floats(
@@ -143,7 +138,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    graph = _read_one_graph(args)
+    graph = _parse_graph6_within(_read_one_line(args), lambda n: _check_budget(n, "check decodes"))
     verdict, witness = is_fractional_ab_deleted(graph, args.a, args.b, max_n=args.max_n)
     _emit(
         {
@@ -158,7 +153,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    graph = _read_one_graph(args)
+    graph = _parse_graph6_within(_read_one_line(args), lambda n: _check_budget(n, "factor decodes"))
     assignment = find_fractional_factor(graph, args.a, args.b)
     payload = {"n": graph.n, "a": args.a, "b": args.b, "exists": assignment is not None}
     if assignment is not None:
@@ -170,7 +165,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    graph = _read_one_dense_graph(args)
+    graph = _parse_graph6_within(_read_one_line(args), _check_matrix_guard)
     report = eval_theorem(graph, args.theorem, args.a, args.b, max_n=args.max_n)
     _emit(report.to_json())
     return 0 if report.consistent else 1
@@ -302,6 +297,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # BLAS reads it as numpy loads, which no fracdel import does
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)

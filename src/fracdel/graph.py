@@ -6,7 +6,7 @@ import base64
 import operator
 import re
 import weakref
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Graph",
@@ -411,6 +411,13 @@ def parse_graph6(line: str) -> Graph:
             rows[low.bit_length() - 1] |= jbit
             col ^= low
     return Graph._from_rows(n, tuple(rows))
+
+
+def _parse_graph6_within(line: str, ceiling: Callable[[int], None]) -> Graph:
+    """parse_graph6(line), once ceiling(n) has passed n from the size field: a line
+    the caller's ceiling refuses raises its error before any payload byte is read."""
+    ceiling(_graph6_size(line.rstrip("\r\n"))[0])
+    return parse_graph6(line)
 
 
 def _check_graph6_max(n: int) -> None:

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graph import Graph, _graph6_size, is_connected
+from .graph import Graph, is_connected
 
 if TYPE_CHECKING:  # numpy is imported where it computes, so importing this module does not load it
     import numpy as np
@@ -73,11 +73,6 @@ def _check_matrix_guard(n: int) -> None:
     """ValueError when an n-vertex graph is past MATRIX_GUARD."""
     if n > MATRIX_GUARD:
         raise ValueError(f"n={n} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices")
-
-
-def _check_graph6_guard(line: str) -> None:
-    """ValueError when a graph6 line's size field is past MATRIX_GUARD, read before its payload is decoded."""
-    _check_matrix_guard(_graph6_size(line.rstrip("\r\n"))[0])
 
 
 def _adjacency_stack(g: Graph, k: int) -> np.ndarray:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import ClassVar, Iterable, Iterator
 
-from .graph import Graph, _extremal_size, _vertex_count, complete, extremal, is_connected, parse_graph6
+from .graph import Graph, _extremal_size, _parse_graph6_within, _vertex_count, complete, extremal, is_connected
 from .oracle import DeficiencyWitness, SizeGuardError, _validate_ab, is_fractional_ab_deleted
-from .spectral import ConvergenceError, _check_graph6_guard, _check_matrix_guard, spectral_summary
+from .spectral import ConvergenceError, _check_matrix_guard, spectral_summary
 
 __all__ = [
     "THEOREM_IDS",
@@ -345,8 +345,7 @@ def scan(
         if not text:
             continue
         try:
-            _check_graph6_guard(text)  # every condition needs rho and q
-            graph = parse_graph6(text)
+            graph = _parse_graph6_within(text, _check_matrix_guard)  # every condition needs rho and q
             report = eval_theorem(graph, theorem_id, a, b, max_n=max_n)
         except ValueError as exc:
             yield ScanRecord(index, text, None, str(exc))

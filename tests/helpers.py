@@ -124,6 +124,11 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def graph6_head(n: int) -> str:
+    """The 4-byte graph6 size field of n, with no payload."""
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+
+
 def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 

@@ -50,6 +50,7 @@ CI_PINS = "tests/test_cli.py::test_the_bytes_pinned_by_ci"
 REPAIRS = "tests/test_oracle.py::test_every_repair_ends_in_a_factor_of_the_reduced_double_cover"
 ENCODER = "tests/test_graph6.py::test_encoder_matches_the_format_reference"
 DECODER = "tests/test_graph6.py::test_decode_matches_the_edge_list_constructor"
+BUDGET = "tests/test_cli.py::test_check_and_factor_refuse_a_size_past_their_memory_budget_before_decoding"
 
 MUTANTS = (
     Mutant(
@@ -99,6 +100,42 @@ MUTANTS = (
         "if n > MATRIX_GUARD:",
         "if n >= MATRIX_GUARD:",
         killers=("tests/test_spectral.py::test_dense_matrices_are_built_at_the_guard",),
+    ),
+    Mutant(
+        "reader-decodes-before-the-ceiling",
+        "graph._parse_graph6_within: the caller's ceiling sees n from the size field before the payload is decoded",
+        "src/fracdel/graph.py",
+        '    ceiling(_graph6_size(line.rstrip("\\r\\n"))[0])\n    return parse_graph6(line)\n',
+        "    graph = parse_graph6(line)\n    ceiling(graph.n)\n    return graph\n",
+        killers=(
+            "tests/test_graph6.py::test_the_callers_ceiling_sees_n_from_the_size_field_before_any_decode",
+            "tests/test_theorems.py::test_scan_refuses_a_line_past_the_matrix_guard_before_decoding_it",
+            BUDGET,
+        ),
+    ),
+    Mutant(
+        "budget-admits-the-cap",
+        "cli._check_budget: n = CONSTRUCT_MAX_N itself is admitted",
+        "src/fracdel/cli.py",
+        "if n > CONSTRUCT_MAX_N:",
+        "if n >= CONSTRUCT_MAX_N:",
+        killers=(BUDGET,),
+    ),
+    Mutant(
+        "check-reads-past-the-budget",
+        "cli._cmd_check: the input line is read under the memory budget's ceiling",
+        "src/fracdel/cli.py",
+        'graph = _parse_graph6_within(_read_one_line(args), lambda n: _check_budget(n, "check decodes"))',
+        "graph = _parse_graph6_within(_read_one_line(args), lambda n: None)",
+        killers=(BUDGET + "[check]",),
+    ),
+    Mutant(
+        "factor-reads-past-the-budget",
+        "cli._cmd_factor: the input line is read under the memory budget's ceiling",
+        "src/fracdel/cli.py",
+        'graph = _parse_graph6_within(_read_one_line(args), lambda n: _check_budget(n, "factor decodes"))',
+        "graph = _parse_graph6_within(_read_one_line(args), lambda n: None)",
+        killers=(BUDGET + "[factor]",),
     ),
     Mutant(
         "encoder-bits-not-reversed",

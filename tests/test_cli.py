@@ -33,7 +33,7 @@ from fracdel import (
     to_graph6,
 )
 from fracdel.cli import main
-from helpers import cycle_graph, path_graph, star_graph
+from helpers import cycle_graph, graph6_head, path_graph, star_graph
 
 
 def run(capsys, *argv):
@@ -104,6 +104,38 @@ def test_construct_refuses_a_size_past_its_memory_budget_before_building_the_gra
     assert built == []
     assert run(capsys, "construct", "--family", "complete", "--n", str(n)) == (0, "Bw\n", "")
     assert built == [(n,)]
+
+
+@pytest.mark.parametrize("command", ["check", "factor"])
+def test_check_and_factor_refuse_a_size_past_their_memory_budget_before_decoding(capsys, monkeypatch, command):
+    # their max RSS on a cycle line is ~0.29 n^2 bytes, so they keep construct's cap; a 4-byte size field
+    # with no payload one past it is refused from the size field, read from --graph6 or from a stream
+    n = fracdel.cli.CONSTRUCT_MAX_N
+    past = graph6_head(n + 1)
+    want = f"error: n={n + 1} exceeds {n}, the largest n {command} decodes within its 1 GiB memory budget\n"
+    assert run(capsys, command, "--graph6", past, "--a", "1", "--b", "3") == (2, "", want)
+    monkeypatch.setattr("sys.stdin", io.StringIO(past + "\n"))
+    assert run(capsys, command, "--a", "1", "--b", "3") == (2, "", want)
+    # at the cap itself the line is decoded, and its missing payload is the error
+    need = (n * (n - 1) // 2 + 5) // 6
+    want = f"error: expected {need} payload bytes, found 0 (byte offset 4)\n"
+    assert run(capsys, command, "--graph6", graph6_head(n), "--a", "1", "--b", "3") == (2, "", want)
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_main_pins_blas_to_one_thread_unless_the_environment_says_otherwise(preset):
+    # BLAS reads these as numpy loads, and a spectrum loads it; a value already set is kept
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}  # this process has them pinned
+    if preset:
+        env.update(dict.fromkeys(names, preset))
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import os, sys; from fracdel.cli import main; code = main(['spectral', '--graph6', 'Bw']);"
+        f" print(code, 'numpy' in sys.modules, *(os.environ.get(v) for v in {names!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.splitlines()[-1] == f"0 True {preset or 1} {preset or 1} {preset or 1}", proc.stderr
 
 
 def test_spectral_json(capsys):
@@ -545,7 +577,7 @@ def test_spectral_and_theorem_refuse_a_line_past_the_matrix_guard_before_decodin
     def never(line):
         raise AssertionError("parse_graph6 called on a line past the ceiling")
 
-    monkeypatch.setattr(fracdel.cli, "parse_graph6", never)
+    monkeypatch.setattr(fracdel.graph, "parse_graph6", never)  # the decoder the one reader calls
     want = f"error: n={MATRIX_GUARD + 1} exceeds the {MATRIX_GUARD}-vertex limit of the dense spectral matrices\n"
     for line in (valid, truncated):
         for argv in (["spectral"], ["theorem", "--theorem", "1.4", "--a", "1", "--b", "3"]):

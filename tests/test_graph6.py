@@ -16,6 +16,7 @@ from fracdel import (
     parse_graph6,
     to_graph6,
 )
+from fracdel.graph import _parse_graph6_within
 from helpers import cycle_graph, gnp
 
 
@@ -232,6 +233,21 @@ def test_decode_peak_memory_on_a_large_line():
 def test_truncated_four_byte_size():
     with pytest.raises(Graph6Error):
         parse_graph6("~?")
+
+
+def test_the_callers_ceiling_sees_n_from_the_size_field_before_any_decode():
+    seen = []
+
+    def refuse(n):
+        seen.append(n)
+        raise ValueError("refused")
+
+    with pytest.raises(ValueError, match="refused"):
+        _parse_graph6_within(">>graph6<<~?Tw??\n", refuse)  # n = 1400, with 2 of its 163 217 payload bytes
+    with pytest.raises(Graph6Error, match="truncated 4-byte size field"):
+        _parse_graph6_within("~?", refuse)  # a malformed size field fails first, as in parse_graph6
+    assert seen == [1400]
+    assert _parse_graph6_within("F~~{?\n", seen.append) == extremal(7, 1) and seen == [1400, 7]
 
 
 def test_to_graph6_validation():

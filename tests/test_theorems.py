@@ -30,7 +30,7 @@ from fracdel import (
     to_graph6,
     verify_sharpness,
 )
-from helpers import count_solves, cycle_graph, gnp, graphs_with_min_edges_by_edge_list, path_graph
+from helpers import count_solves, cycle_graph, gnp, graph6_head, graphs_with_min_edges_by_edge_list, path_graph
 
 
 def test_report_on_complete_graph():
@@ -385,23 +385,19 @@ def test_scan_stream_and_summary():
     assert err_json["id"] == 4 and "error" in err_json
 
 
-def _graph6_head(n: int) -> str:
-    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
-
-
 def test_scan_refuses_a_line_past_the_matrix_guard_before_decoding_it(monkeypatch):
     n = MATRIX_GUARD + 1
-    edgeless = _graph6_head(n) + "?" * ((n * (n - 1) // 2 + 5) // 6)  # a valid line, about 1.4 MB
-    truncated = _graph6_head(n) + "??"  # its payload is far too short
+    edgeless = graph6_head(n) + "?" * ((n * (n - 1) // 2 + 5) // 6)  # a valid line, about 1.4 MB
+    truncated = graph6_head(n) + "??"  # its payload is far too short
     small = to_graph6(complete(7))
     decoded = []
-    real = fracdel.theorems.parse_graph6
+    real = fracdel.graph.parse_graph6
 
     def parse(line):
         decoded.append(line)
         return real(line)
 
-    monkeypatch.setattr(fracdel.theorems, "parse_graph6", parse)
+    monkeypatch.setattr(fracdel.graph, "parse_graph6", parse)  # the decoder the one reader calls
     records = list(scan([small, edgeless, truncated, small], "1.8", 1, 3))
     assert decoded == [small, small]
     with pytest.raises(ValueError) as ceiling:
